@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use fisheye_codegen::{SimtConfig, SimtEngine};
-use fisheye_core::engine::{execute_host_post, CorrectionEngine, EngineSpec, HostEnv};
+use fisheye_core::engine::{execute_host, CorrectionEngine, EngineSpec, HostEnv};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::post::PostPixel;
 use fisheye_core::{
@@ -95,7 +95,7 @@ fn simt_float_kernel_bit_exact_vs_serial_and_simd() {
                 geometry: None,
             };
             let mut reference = Image::new(map.width(), map.height());
-            execute_host_post(
+            execute_host(
                 &EngineSpec::Serial,
                 interp,
                 &frame,
@@ -121,7 +121,7 @@ fn simt_float_kernel_bit_exact_vs_serial_and_simd() {
             // simd is locked to bilinear — cross-check that leg too.
             if interp == Interpolator::Bilinear {
                 let mut simd_out = Image::new(map.width(), map.height());
-                execute_host_post(
+                execute_host(
                     &EngineSpec::Simd,
                     interp,
                     &frame,
@@ -196,7 +196,7 @@ fn simt_float_kernel_bit_exact_on_gray_f32() {
             geometry: None,
         };
         let mut reference = Image::new(map.width(), map.height());
-        execute_host_post(
+        execute_host(
             &EngineSpec::Serial,
             interp,
             &frame,
@@ -265,7 +265,7 @@ fn simt_handles_degenerate_and_ragged_maps() {
             geometry: None,
         };
         let mut reference = Image::new(w, h);
-        execute_host_post(
+        execute_host(
             &EngineSpec::Serial,
             interp,
             &frame,

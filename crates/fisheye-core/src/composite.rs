@@ -21,11 +21,13 @@
 //!   [`plan_request_digest`](crate::plan::plan_request_digest) so
 //!   composites share the serve layer's two-tier cache.
 //!
-//! [`execute_composite_host`] mirrors `execute_host_post`: the
-//! serial/smp backends fuse the post stage into the row traversal, the
-//! simd/fixed backends run their specialized kernels (reusing the
-//! per-source SoA planes and fixed LUTs) followed by the two-pass post
-//! reference. Every backend is bit-exact against
+//! [`execute_composite_host`] mirrors
+//! [`execute_host`](crate::engine::execute_host): the segment program
+//! is the general row program of the one span walker
+//! ([`crate::walk`]), so serial, smp, simd and fixed run the same walk
+//! as a single plan with their own sampler (reusing the per-source SoA
+//! planes and fixed LUTs), the post stage fused into the traversal.
+//! Every backend is bit-exact against
 //! [`compose_layers`] applied to per-camera corrections from the
 //! matching single-plan backend — the "two-pass" reference the
 //! property tests pin. The SIMT backend does not lower composites:
@@ -41,7 +43,6 @@
 use std::f64::consts::{PI, TAU};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use fisheye_geom::{
     CameraRig, FisheyeLens, Mat3, MountedLens, OutputProjection, RectifiedPair, StereoRig,
@@ -50,15 +51,14 @@ use par_runtime::ThreadPool;
 use pixmap::{Gray8, GrayF32, Image, Pixel};
 
 use crate::engine::{
-    active_post, post_pass, EngineError, EnginePixel, EngineSpec, FrameReport, HostEnv,
+    active_post, EngineError, EnginePixel, EngineSpec, FrameReport, HostEnv, HostRoute,
 };
 use crate::frame::{Frame, FrameFormat};
-use crate::interp::{
-    sample_bicubic, sample_bilinear, sample_bilinear_fixed_gray8, sample_nearest, Interpolator,
-};
-use crate::map::{FixedRemapMap, MapEntry, RemapMap};
+use crate::interp::Interpolator;
+use crate::map::{MapEntry, RemapMap};
 use crate::plan::{correct_plan, Fnv, PlanOptions, RemapPlan};
 use crate::post::{PostPixel, PostPlan, PostStage};
+use crate::walk::{Program, Sampler, Seg, Sources};
 
 // ---------------------------------------------------------------------
 // Geometry tracing
@@ -230,16 +230,6 @@ pub fn rectified_camera_digest(pair: &RectifiedPair, eye: &MountedLens, opts: &P
 // ---------------------------------------------------------------------
 // CompositePlan
 // ---------------------------------------------------------------------
-
-/// One run of output pixels within a row of the composite program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Seg {
-    /// Every pixel in `[start, end)` reads exactly one source.
-    Exclusive { source: u16, start: u32, end: u32 },
-    /// Every pixel in `[start, end)` blends ≥ 2 sources with the
-    /// quantized weights at `weights[woff + (x − start) · n ..][..n]`.
-    Blend { start: u32, end: u32, woff: u32 },
-}
 
 /// A compiled N-source composite: per-camera [`RemapPlan`]s over a
 /// shared output surface plus the per-row segment program selecting
@@ -645,15 +635,16 @@ impl fmt::Debug for StereoPlan {
 }
 
 // ---------------------------------------------------------------------
-// CompositePixel: blend arithmetic + specialized kernels
+// CompositePixel: blend arithmetic + the walker's row program
 // ---------------------------------------------------------------------
 
 /// Pixel types the composite executor can blend. The accumulator and
 /// finish rule define the overlap arithmetic each element type uses —
 /// integer `(Σ vᵢ·qᵢ + 127) / 255` for `u8` planes (the legacy
-/// stitcher's exact rounding), float `Σ vᵢ·(qᵢ/255)` for `f32` — and
-/// the optional SIMD / fixed-point kernels mirror
-/// [`EnginePixel`]'s per-backend datapaths.
+/// stitcher's exact rounding), float `Σ vᵢ·(qᵢ/255)` for `f32`. Which
+/// sampler produces the `vᵢ` is the backend's business, not the
+/// pixel type's: every host backend runs the composite through the
+/// same span walker as a single plan.
 pub trait CompositePixel: EnginePixel + PostPixel {
     /// Weighted-blend accumulator.
     type Acc: Copy;
@@ -668,38 +659,6 @@ pub trait CompositePixel: EnginePixel + PostPixel {
     /// `q = 255` contribution this is exact (identity), so exclusive
     /// runs and blend runs share one arithmetic definition.
     fn acc_finish(acc: Self::Acc) -> Self;
-
-    /// 4-lane SoA kernel over the composite program — bit-exact
-    /// against per-source [`crate::simd`] corrections blended with
-    /// [`compose_layers`]. Default: no SIMD datapath.
-    fn composite_simd(
-        srcs: &[&Image<Self>],
-        plan: &CompositePlan,
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        let _ = (srcs, plan, out);
-        Err(EngineError::unsupported(
-            "simd",
-            "no composite SIMD datapath for this pixel type",
-        ))
-    }
-
-    /// Integer-LUT kernel over the composite program (`luts` holds one
-    /// fixed map per source, same weight width) — bit-exact against
-    /// per-source [`crate::correct_fixed_into`] corrections blended
-    /// with [`compose_layers`]. Default: no integer datapath.
-    fn composite_fixed(
-        srcs: &[&Image<Self>],
-        plan: &CompositePlan,
-        luts: &[Arc<FixedRemapMap>],
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        let _ = (srcs, plan, luts, out);
-        Err(EngineError::unsupported(
-            "fixed",
-            "no composite integer datapath for this pixel type",
-        ))
-    }
 }
 
 impl CompositePixel for Gray8 {
@@ -715,137 +674,6 @@ impl CompositePixel for Gray8 {
 
     fn acc_finish(acc: u32) -> Gray8 {
         Gray8(((acc + 127) / 255) as u8)
-    }
-
-    fn composite_simd(
-        srcs: &[&Image<Gray8>],
-        plan: &CompositePlan,
-        out: &mut Image<Gray8>,
-    ) -> Result<(), EngineError> {
-        // lift every source once, exactly as the single-plan gray8
-        // SIMD wrapper does; exclusive runs go through the 4-lane
-        // gather and quantize per pixel, blend runs sample the lifted
-        // planes scalar (bit-identical to the lane math) and blend in
-        // the integer domain — matching per-source SIMD corrections
-        // blended with compose_layers byte for byte
-        let lifted: Vec<Image<GrayF32>> = srcs.iter().map(|s| s.map(GrayF32::from)).collect();
-        let n = srcs.len();
-        let mut tmp = vec![GrayF32(0.0); plan.width as usize];
-        for y in 0..plan.height {
-            let out_row = out.row_mut(y);
-            let mut cursor = 0usize;
-            for seg in plan.row_segs(y) {
-                match *seg {
-                    Seg::Exclusive { source, start, end } => {
-                        out_row[cursor..start as usize].fill(Gray8(0));
-                        let (s, e) = (start as usize, end as usize);
-                        let sp = &plan.sources[source as usize];
-                        crate::simd::gather_span(
-                            &lifted[source as usize],
-                            &sp.row_sx(y)[s..e],
-                            &sp.row_sy(y)[s..e],
-                            &mut tmp[..e - s],
-                        );
-                        for (o, v) in out_row[s..e].iter_mut().zip(&tmp[..e - s]) {
-                            *o = Gray8::from(*v);
-                        }
-                        cursor = e;
-                    }
-                    Seg::Blend { start, end, woff } => {
-                        out_row[cursor..start as usize].fill(Gray8(0));
-                        let r = start as usize..end as usize;
-                        let mut wo = woff as usize;
-                        for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
-                            let x = r.start + off;
-                            let mut acc = 0u32;
-                            for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
-                                if q > 0 {
-                                    let sp = &plan.sources[i];
-                                    let v = Gray8::from(sample_bilinear(
-                                        &lifted[i],
-                                        sp.row_sx(y)[x],
-                                        sp.row_sy(y)[x],
-                                    ));
-                                    acc += v.0 as u32 * q as u32;
-                                }
-                            }
-                            *o = Gray8(((acc + 127) / 255) as u8);
-                            wo += n;
-                        }
-                        cursor = r.end;
-                    }
-                }
-            }
-            out_row[cursor..].fill(Gray8(0));
-        }
-        Ok(())
-    }
-
-    fn composite_fixed(
-        srcs: &[&Image<Gray8>],
-        plan: &CompositePlan,
-        luts: &[Arc<FixedRemapMap>],
-        out: &mut Image<Gray8>,
-    ) -> Result<(), EngineError> {
-        let n = srcs.len();
-        let frac = match luts.first() {
-            Some(l) => l.frac_bits(),
-            None => {
-                return Err(EngineError::backend(
-                    "fixed",
-                    "composite fixed kernel needs one LUT per source",
-                ))
-            }
-        };
-        for y in 0..plan.height {
-            let out_row = out.row_mut(y);
-            let mut cursor = 0usize;
-            for seg in plan.row_segs(y) {
-                match *seg {
-                    Seg::Exclusive { source, start, end } => {
-                        out_row[cursor..start as usize].fill(Gray8(0));
-                        let r = start as usize..end as usize;
-                        let row = luts[source as usize].row(y);
-                        let src = srcs[source as usize];
-                        for (o, e) in out_row[r.clone()].iter_mut().zip(&row[r.clone()]) {
-                            *o = if e.is_valid() {
-                                sample_bilinear_fixed_gray8(src, e.x0, e.y0, e.wx, e.wy, frac)
-                            } else {
-                                Gray8(0)
-                            };
-                        }
-                        cursor = r.end;
-                    }
-                    Seg::Blend { start, end, woff } => {
-                        out_row[cursor..start as usize].fill(Gray8(0));
-                        let r = start as usize..end as usize;
-                        let mut wo = woff as usize;
-                        for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
-                            let x = r.start + off;
-                            let mut acc = 0u32;
-                            for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
-                                if q > 0 {
-                                    let e = luts[i].row(y)[x];
-                                    let v = if e.is_valid() {
-                                        sample_bilinear_fixed_gray8(
-                                            srcs[i], e.x0, e.y0, e.wx, e.wy, frac,
-                                        )
-                                    } else {
-                                        Gray8(0)
-                                    };
-                                    acc += v.0 as u32 * q as u32;
-                                }
-                            }
-                            *o = Gray8(((acc + 127) / 255) as u8);
-                            wo += n;
-                        }
-                        cursor = r.end;
-                    }
-                }
-            }
-            out_row[cursor..].fill(Gray8(0));
-        }
-        Ok(())
     }
 }
 
@@ -863,172 +691,35 @@ impl CompositePixel for GrayF32 {
     fn acc_finish(acc: f32) -> GrayF32 {
         GrayF32(acc)
     }
+}
 
-    fn composite_simd(
-        srcs: &[&Image<GrayF32>],
-        plan: &CompositePlan,
-        out: &mut Image<GrayF32>,
-    ) -> Result<(), EngineError> {
-        let n = srcs.len();
-        for y in 0..plan.height {
-            let out_row = out.row_mut(y);
-            let mut cursor = 0usize;
-            for seg in plan.row_segs(y) {
-                match *seg {
-                    Seg::Exclusive { source, start, end } => {
-                        out_row[cursor..start as usize].fill(GrayF32(0.0));
-                        let (s, e) = (start as usize, end as usize);
-                        let sp = &plan.sources[source as usize];
-                        crate::simd::gather_span(
-                            srcs[source as usize],
-                            &sp.row_sx(y)[s..e],
-                            &sp.row_sy(y)[s..e],
-                            &mut out_row[s..e],
-                        );
-                        cursor = e;
-                    }
-                    Seg::Blend { start, end, woff } => {
-                        out_row[cursor..start as usize].fill(GrayF32(0.0));
-                        let r = start as usize..end as usize;
-                        let mut wo = woff as usize;
-                        for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
-                            let x = r.start + off;
-                            let mut acc = 0f32;
-                            for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
-                                if q > 0 {
-                                    let sp = &plan.sources[i];
-                                    let v =
-                                        sample_bilinear(srcs[i], sp.row_sx(y)[x], sp.row_sy(y)[x]);
-                                    acc += v.0 * (q as f32 / 255.0);
-                                }
-                            }
-                            *o = GrayF32(acc);
-                            wo += n;
-                        }
-                        cursor = r.end;
-                    }
-                }
+/// The composite's segment program is the general row program of the
+/// span walker: exclusive runs sample one source, blend runs mix every
+/// source with a nonzero quantized weight (a nonzero weight implies
+/// the source is valid at that pixel).
+impl<P: CompositePixel> Program<P> for CompositePlan {
+    #[inline]
+    fn runs(&self, y: u32) -> impl Iterator<Item = Seg> + '_ {
+        self.row_segs(y).iter().copied()
+    }
+
+    #[inline]
+    fn blend<S: Sampler<P>>(&self, sampler: &S, y: u32, x: usize, woff: usize, i: usize) -> P {
+        let n = self.sources.len();
+        let at = woff + i * n;
+        let mut acc = P::acc_zero();
+        for (source, &q) in self.weights[at..at + n].iter().enumerate() {
+            if q > 0 {
+                P::acc_add(&mut acc, sampler.pixel(source, y, x), q);
             }
-            out_row[cursor..].fill(GrayF32(0.0));
         }
-        Ok(())
+        P::acc_finish(acc)
     }
 }
 
 // ---------------------------------------------------------------------
-// Row kernels + two-pass reference
+// Two-pass reference
 // ---------------------------------------------------------------------
-
-/// Walk one row of the composite program: gap pixels through `fill`,
-/// sampled pixels through `sample` (per source) and `finish` (post
-/// fusion seam, given the absolute output x).
-fn seg_row<P: CompositePixel>(
-    srcs: &[&Image<P>],
-    plan: &CompositePlan,
-    y: u32,
-    out_row: &mut [P],
-    sample: &impl Fn(&Image<P>, f32, f32) -> P,
-    finish: &impl Fn(P, usize) -> P,
-    fill: &impl Fn(usize) -> P,
-) {
-    let n = srcs.len();
-    // hoist every source's row coordinates out of the pixel loops —
-    // blend segments re-enter the same rows pixel after pixel
-    let rows: Vec<(&[f32], &[f32])> = plan
-        .sources
-        .iter()
-        .map(|sp| (sp.row_sx(y), sp.row_sy(y)))
-        .collect();
-    let fill_gap = |row: &mut [P], from: usize, to: usize| {
-        for (off, o) in row[from..to].iter_mut().enumerate() {
-            *o = fill(from + off);
-        }
-    };
-    let mut cursor = 0usize;
-    for seg in plan.row_segs(y) {
-        match *seg {
-            Seg::Exclusive { source, start, end } => {
-                fill_gap(out_row, cursor, start as usize);
-                // zipped iterators, like the single-plan span walk:
-                // the exclusive run is the bulk of the surface and
-                // must not pay per-pixel bounds checks
-                let r = start as usize..end as usize;
-                let (sx, sy) = rows[source as usize];
-                let src = srcs[source as usize];
-                for (i, ((cx, cy), o)) in sx[r.clone()]
-                    .iter()
-                    .zip(&sy[r.clone()])
-                    .zip(&mut out_row[r.clone()])
-                    .enumerate()
-                {
-                    *o = finish(sample(src, *cx, *cy), r.start + i);
-                }
-                cursor = r.end;
-            }
-            Seg::Blend { start, end, woff } => {
-                fill_gap(out_row, cursor, start as usize);
-                let mut wo = woff as usize;
-                for x in start as usize..end as usize {
-                    let mut acc = P::acc_zero();
-                    for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
-                        if q > 0 {
-                            let (sx, sy) = rows[i];
-                            P::acc_add(&mut acc, sample(srcs[i], sx[x], sy[x]), q);
-                        }
-                    }
-                    out_row[x] = finish(P::acc_finish(acc), x);
-                    wo += n;
-                }
-                cursor = end as usize;
-            }
-        }
-    }
-    let len = out_row.len();
-    fill_gap(out_row, cursor, len);
-}
-
-/// Composite one output row — the multi-source analogue of
-/// [`crate::plan::correct_plan_row`], and the row kernel the serial
-/// and smp composite backends share.
-pub fn composite_plan_row<P: CompositePixel>(
-    srcs: &[&Image<P>],
-    plan: &CompositePlan,
-    y: u32,
-    interp: Interpolator,
-    out_row: &mut [P],
-) {
-    let id = |v: P, _: usize| v;
-    let black = |_: usize| P::BLACK;
-    match interp {
-        Interpolator::Nearest => seg_row(srcs, plan, y, out_row, &sample_nearest, &id, &black),
-        Interpolator::Bilinear => seg_row(srcs, plan, y, out_row, &sample_bilinear, &id, &black),
-        Interpolator::Bicubic => seg_row(srcs, plan, y, out_row, &sample_bicubic, &id, &black),
-    }
-}
-
-/// [`composite_plan_row`] with the post stage fused into the same
-/// traversal (applied to blended samples and gap fill alike) —
-/// byte-identical to compositing then running the two-pass post
-/// reference over the row.
-pub fn composite_plan_row_post<P: CompositePixel>(
-    srcs: &[&Image<P>],
-    plan: &CompositePlan,
-    y: u32,
-    interp: Interpolator,
-    post: &PostPlan,
-    out_row: &mut [P],
-) {
-    if post.is_noop() {
-        return composite_plan_row(srcs, plan, y, interp, out_row);
-    }
-    let fin = |v: P, x: usize| v.post(post, x as u32, y);
-    let black = |x: usize| P::BLACK.post(post, x as u32, y);
-    match interp {
-        Interpolator::Nearest => seg_row(srcs, plan, y, out_row, &sample_nearest, &fin, &black),
-        Interpolator::Bilinear => seg_row(srcs, plan, y, out_row, &sample_bilinear, &fin, &black),
-        Interpolator::Bicubic => seg_row(srcs, plan, y, out_row, &sample_bicubic, &fin, &black),
-    }
-}
 
 /// The blend half of the two-pass reference: given per-camera
 /// corrected layers (each rendering the full output surface), apply
@@ -1148,12 +839,14 @@ fn check_composite_dims<P: Pixel>(
 }
 
 /// Execute a composite on a host backend — the multi-source analogue
-/// of the single-plan host executor, sharing its report and error
-/// conventions. Serial and smp fuse the post stage into the row
-/// traversal; simd and fixed run their specialized kernels followed by
-/// the two-pass post reference. Accelerator specs (cell/gpu/simt) are
-/// `Unsupported`: in particular the SIMT kernel ISA has no
-/// multi-source gather operand, so composites stay on host backends.
+/// of [`execute_host`](crate::engine::execute_host), sharing its spec
+/// resolution, report conventions and span walker: serial, smp, simd
+/// and fixed walk the segment program with their sampler (the
+/// per-source SoA planes, or the per-source fixed LUTs) and fuse the
+/// post stage into the traversal (`fused=1`). `direct` and the
+/// accelerator specs (cell/gpu/simt) are `Unsupported`: in particular
+/// the SIMT kernel ISA has no multi-source gather operand, so
+/// composites stay on host backends.
 pub fn execute_composite_host<P: CompositePixel>(
     spec: &EngineSpec,
     interp: Interpolator,
@@ -1163,107 +856,25 @@ pub fn execute_composite_host<P: CompositePixel>(
     env: &HostEnv<'_>,
     out: &mut Image<P>,
 ) -> Result<FrameReport, EngineError> {
-    let name = spec.name();
-    check_composite_dims(&name, srcs, plan, out)?;
-    let post = active_post::<P>(&name, post)?;
-    let mut report = FrameReport::new(&name);
+    if let EngineSpec::Simt { .. } = spec {
+        return Err(EngineError::unsupported(
+            spec.name(),
+            "the SIMT kernel ISA gathers from a single bound source plane; \
+             composites need a per-pixel multi-source gather and run on host backends",
+        ));
+    }
+    let route = HostRoute::resolve::<P>(spec, interp, env)?;
+    check_composite_dims(route.name(), srcs, plan, out)?;
+    let post = active_post::<P>(route.name(), post)?;
+    let sources = Sources {
+        frames: srcs,
+        plans: &plan.sources,
+    };
+    let mut report = route.run(plan, sources, post, out);
     report.rows = plan.height as u64;
+    report.invalid_pixels = plan.uncovered_pixels();
     report.kv("sources", plan.sources.len() as f64);
     report.kv("blend_pixels", plan.blend_pixels as f64);
-    let w = (plan.width as usize).max(1);
-    match *spec {
-        EngineSpec::Serial => {
-            let t0 = Instant::now();
-            for (y, out_row) in out.pixels_mut().chunks_mut(w).enumerate() {
-                match post {
-                    Some(pp) => composite_plan_row_post(srcs, plan, y as u32, interp, pp, out_row),
-                    None => composite_plan_row(srcs, plan, y as u32, interp, out_row),
-                }
-            }
-            report.correct_time = t0.elapsed();
-            if post.is_some() {
-                report.kv("fused", 1.0);
-            }
-        }
-        EngineSpec::Smp { schedule } => {
-            let pool = env.pool.ok_or_else(|| {
-                EngineError::unsupported(&name, "smp needs a thread pool (HostEnv::pool)")
-            })?;
-            let t0 = Instant::now();
-            pool.parallel_rows(out.pixels_mut(), w, schedule, &|y, out_row| match post {
-                Some(pp) => composite_plan_row_post(srcs, plan, y as u32, interp, pp, out_row),
-                None => composite_plan_row(srcs, plan, y as u32, interp, out_row),
-            });
-            report.correct_time = t0.elapsed();
-            report.kv("threads", pool.threads() as f64);
-            if post.is_some() {
-                report.kv("fused", 1.0);
-            }
-        }
-        EngineSpec::Simd => {
-            if !P::HAS_SIMD {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no SIMD datapath for this pixel type",
-                ));
-            }
-            if interp != Interpolator::Bilinear {
-                return Err(EngineError::unsupported(
-                    &name,
-                    format!("simd implements bilinear only, not {}", interp.name()),
-                ));
-            }
-            let t0 = Instant::now();
-            P::composite_simd(srcs, plan, out)?;
-            report.correct_time = t0.elapsed();
-            report.kv("lanes", crate::simd::LANES as f64);
-            post_pass(&name, post, out, &mut report)?;
-        }
-        EngineSpec::FixedPoint { frac_bits } => {
-            if !P::HAS_FIXED {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no integer datapath for this pixel type",
-                ));
-            }
-            // per-source LUTs through the plans' own memoization, so a
-            // cache-shared source plan derives its LUT exactly once
-            let mut luts = Vec::with_capacity(plan.sources.len());
-            let mut misses = 0u32;
-            let mut derive_ms = 0f64;
-            for sp in &plan.sources {
-                let (lut, miss) = sp.fixed_lazy(frac_bits);
-                if let Some(ms) = miss {
-                    misses += 1;
-                    derive_ms += ms;
-                }
-                luts.push(lut);
-            }
-            if misses > 0 {
-                report.kv("plan_miss", misses as f64);
-                report.kv("plan_derive_ms", derive_ms);
-            }
-            let t0 = Instant::now();
-            P::composite_fixed(srcs, plan, &luts, out)?;
-            report.correct_time = t0.elapsed();
-            report.kv("frac_bits", frac_bits as f64);
-            post_pass(&name, post, out, &mut report)?;
-        }
-        EngineSpec::Simt { .. } => {
-            return Err(EngineError::unsupported(
-                &name,
-                "the SIMT kernel ISA gathers from a single bound source plane; \
-                 composites need a per-pixel multi-source gather and run on host backends",
-            ));
-        }
-        _ => {
-            return Err(EngineError::unsupported(
-                &name,
-                "no composite datapath for this backend",
-            ));
-        }
-    }
-    report.invalid_pixels = plan.uncovered_pixels();
     Ok(report)
 }
 
@@ -1771,7 +1382,20 @@ mod tests {
             .sources()
             .iter()
             .zip(srcs)
-            .map(|(sp, s)| crate::simd::correct_bilinear_simd_gray8(s, sp))
+            .map(|(sp, s)| {
+                let mut l = Image::new(96, 48);
+                crate::engine::execute_host(
+                    &EngineSpec::Simd,
+                    Interpolator::Bilinear,
+                    s,
+                    sp,
+                    None,
+                    &HostEnv::default(),
+                    &mut l,
+                )
+                .expect("per-camera simd");
+                l
+            })
             .collect();
         let refs: Vec<&Image<Gray8>> = layers.iter().collect();
         let reference = compose_layers(&plan, &refs);
@@ -1985,33 +1609,48 @@ mod tests {
         let srcs = [&front, &back];
         let stage = PostStage::identity().with_tone_map(ToneMap::McFace);
         let pp = stage.compile(PostChannel::Luma);
-        let mut fused = Image::new(96, 48);
-        execute_composite_host(
-            &EngineSpec::Serial,
-            Interpolator::Bilinear,
-            &srcs,
-            &plan,
-            Some(&pp),
-            &HostEnv::default(),
-            &mut fused,
-        )
-        .expect("fused serial");
-        // reference: composite without post, then the row-wise post
-        let mut plain = Image::new(96, 48);
-        execute_composite_host(
-            &EngineSpec::Serial,
-            Interpolator::Bilinear,
-            &srcs,
-            &plan,
-            None,
-            &HostEnv::default(),
-            &mut plain,
-        )
-        .expect("plain serial");
-        for y in 0..48u32 {
-            let row = plain.row_mut(y);
-            <Gray8 as PostPixel>::post_row(row, y, &pp);
+        let pool = ThreadPool::new(2);
+        let env = HostEnv {
+            pool: Some(&pool),
+            ..HostEnv::default()
+        };
+        for spec in [
+            EngineSpec::Serial,
+            EngineSpec::Smp {
+                schedule: Schedule::Static { chunk: None },
+            },
+            EngineSpec::Simd,
+            EngineSpec::FixedPoint { frac_bits: 12 },
+        ] {
+            let mut fused = Image::new(96, 48);
+            let report = execute_composite_host(
+                &spec,
+                Interpolator::Bilinear,
+                &srcs,
+                &plan,
+                Some(&pp),
+                &env,
+                &mut fused,
+            )
+            .expect("fused composite");
+            assert_eq!(report.model.get("fused"), Some(&1.0), "{}", spec.name());
+            // reference: composite without post, then the row-wise post
+            let mut plain = Image::new(96, 48);
+            execute_composite_host(
+                &spec,
+                Interpolator::Bilinear,
+                &srcs,
+                &plan,
+                None,
+                &env,
+                &mut plain,
+            )
+            .expect("plain composite");
+            for y in 0..48u32 {
+                let row = plain.row_mut(y);
+                <Gray8 as PostPixel>::post_row(row, y, &pp);
+            }
+            assert_eq!(fused, plain, "{}", spec.name());
         }
-        assert_eq!(fused, plain);
     }
 }

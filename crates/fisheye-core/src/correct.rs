@@ -1,9 +1,12 @@
 //! Frame correction — phase 2 of the application.
 //!
 //! A pure gather: for every output pixel, read the LUT entry and
-//! interpolate the source frame there. Serial, multicore and
-//! fixed-point variants share the same per-row kernel so the platform
-//! comparison measures scheduling, not code differences.
+//! interpolate the source frame there. These are the straightforward
+//! AoS references — per-pixel validity branch, no compiled plan —
+//! that the bit-exact suites hold every backend against. The host
+//! backends themselves run one span walker over a compiled plan
+//! ([`crate::walk`]), so the platform comparison measures samplers
+//! and scheduling, not code differences.
 
 use par_runtime::{Schedule, ThreadPool};
 use pixmap::{Gray8, Image, Pixel};

@@ -12,13 +12,18 @@
 //! accounting and the bench CSV emission all consume.
 //!
 //! Host paths (`serial`, `smp`, `direct`, `fixed`, `simd`) are
-//! implemented here; the accelerator models (`cell` in `cellsim`,
+//! implemented here, as one boxed host engine over one dispatcher
+//! ([`execute_host`]): every plan-walking host spec runs the same span
+//! walker ([`crate::walk`]) and differs only in its span sampler
+//! (scalar, 4-lane or fixed-point LUT), with the post stage fused
+//! into the walk. The accelerator models (`cell` in `cellsim`,
 //! `gpu` in `gpusim`) implement [`CorrectionEngine`] in their own
 //! crates, and the `fisheye` facade crate's `engine` module resolves
 //! *any* spec to a boxed engine. Adding the next backend means
 //! implementing the trait in one file and registering its spec — no
 //! consumer changes.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -27,12 +32,12 @@ use fisheye_geom::{FisheyeLens, PerspectiveView};
 use par_runtime::{Schedule, ThreadPool};
 use pixmap::{Gray8, GrayF32, Image, Pixel};
 
-use crate::correct::correct_fixed_into;
-use crate::interp::Interpolator;
-use crate::map::FixedRemapMap;
-use crate::plan::{correct_plan_row, correct_plan_row_post, RemapPlan};
+use crate::interp::{sample_bilinear_fixed_gray8, Interpolator};
+use crate::map::FixedMapEntry;
+use crate::plan::RemapPlan;
 use crate::post::{PostPixel, PostPlan};
-use crate::simd;
+use crate::simd::{self, Lanes};
+use crate::walk::{walk_frame, walk_scalar, Fixed, Lut, NoPost, PostOp, Program, Sources};
 
 /// Default fractional weight bits for the quantized (fixed-point)
 /// paths — the accuracy knee of experiment F7.
@@ -237,9 +242,13 @@ pub enum EngineSpec {
 /// pinned by a registry-loop test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Capabilities {
-    /// The engine can fuse a compiled post stage into its correction
-    /// traversal (`fused=1`); engines without it fall back to the
-    /// two-pass [`post_pass`].
+    /// The spec declares post fusion: its correction traversal fuses
+    /// a compiled post stage (`fused=1`) and its lowered kernel
+    /// carries a post op (the codegen IR keys on this flag). Engines
+    /// without it fall back to the two-pass [`post_pass`] — except on
+    /// the host, where the span walker fuses post for every
+    /// plan-walking spec: `simd` and `fixed` report `fused=1` while
+    /// keeping `false` here, so their emitted kernels stay post-free.
     pub fused_post: bool,
     /// The engine needs the plan compiled with a quantized LUT of
     /// this width (`PlanOptions::frac_bits`); running without one
@@ -630,7 +639,7 @@ pub trait CorrectionEngine<P: EnginePixel>: Send + Sync {
     /// pass of [`EnginePixel::post_row`] over the output (reported as
     /// `post_ms` with `fused=0`) — correct for every backend,
     /// including the accelerator models that cannot fuse; the host
-    /// engines override this to fuse post into the span traversal
+    /// engine overrides this to fuse post into the span walk
     /// (`fused=1`, post cost inside `correct_time`). Both paths are
     /// bit-exact with each other by construction.
     fn correct_frame_post(
@@ -684,62 +693,36 @@ pub fn post_pass<P: EnginePixel>(
     Ok(())
 }
 
-/// Pixel types the engine layer can route: the float kernels work for
-/// every [`Pixel`], while the integer and SoA-SIMD datapaths exist
-/// only for specific types. The capability flags let builders reject
-/// unsupported (spec, pixel) pairs up front.
+/// Pixel types the engine layer can route: the scalar samplers work
+/// for every [`Pixel`], while the integer, 4-lane and post datapaths
+/// exist only for specific types. The capability flags let builders
+/// reject unsupported (spec, pixel) pairs up front; the per-pixel hooks
+/// below only ever run behind them.
 pub trait EnginePixel: Pixel {
     /// An integer (quantized-LUT) datapath exists for this type.
     const HAS_FIXED: bool = false;
-    /// The 4-lane SoA bilinear kernel exists for this type.
+    /// The 4-lane SoA bilinear sampler exists for this type.
     const HAS_SIMD: bool = false;
     /// The post-correction color stage exists for this type.
     const HAS_POST: bool = false;
 
-    /// Integer-datapath correction (bit-exact with
-    /// [`crate::correct_fixed`]).
-    fn fixed_kernel(
-        _src: &Image<Self>,
-        _map: &FixedRemapMap,
-        _out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        Err(EngineError::unsupported(
-            "fixed",
-            "no integer datapath for this pixel type",
-        ))
+    /// Integer bilinear sample through one quantized LUT entry
+    /// (bit-exact with [`crate::correct_fixed`]). Called only behind
+    /// [`EnginePixel::HAS_FIXED`]; the default is black.
+    fn sample_fixed(_src: &Image<Self>, _e: &FixedMapEntry, _frac_bits: u32) -> Self {
+        Self::BLACK
     }
 
-    /// SoA-SIMD bilinear correction over the plan's span index
-    /// (bit-exact with the serial bilinear reference for this type).
-    fn simd_kernel(
-        _src: &Image<Self>,
-        _plan: &RemapPlan,
-        _out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        Err(EngineError::unsupported(
-            "simd",
-            "no SoA kernel for this pixel type",
-        ))
-    }
-
-    /// Correct one row with the post stage fused into the span walk.
-    /// The default ignores the stage — engines guard every call
-    /// behind [`EnginePixel::HAS_POST`], so this body only runs when
-    /// post is inert.
-    fn fused_post_row(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        y: u32,
-        interp: Interpolator,
-        _post: &PostPlan,
-        out_row: &mut [Self],
-    ) {
-        correct_plan_row(src, plan, y, interp, out_row);
+    /// Apply the post stage to one pixel at output `(x, y)` — what the
+    /// span walker fuses into its traversal. Called only behind
+    /// [`EnginePixel::HAS_POST`]; the default is the identity.
+    fn post_pixel(self, _post: &PostPlan, _x: u32, _y: u32) -> Self {
+        self
     }
 
     /// Apply the post stage over an already-corrected row (the
-    /// two-pass path). No-op by default, guarded like
-    /// [`EnginePixel::fused_post_row`].
+    /// two-pass reference, [`post_pass`]). No-op by default, guarded
+    /// like [`EnginePixel::post_pixel`].
     fn post_row(_row: &mut [Self], _y: u32, _post: &PostPlan) {}
 }
 
@@ -748,33 +731,14 @@ impl EnginePixel for Gray8 {
     const HAS_SIMD: bool = true;
     const HAS_POST: bool = true;
 
-    fn fixed_kernel(
-        src: &Image<Self>,
-        map: &FixedRemapMap,
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        correct_fixed_into(src, map, out);
-        Ok(())
+    #[inline(always)]
+    fn sample_fixed(src: &Image<Self>, e: &FixedMapEntry, frac_bits: u32) -> Self {
+        sample_bilinear_fixed_gray8(src, e.x0, e.y0, e.wx, e.wy, frac_bits)
     }
 
-    fn simd_kernel(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        simd::correct_bilinear_simd_gray8_into(src, plan, out);
-        Ok(())
-    }
-
-    fn fused_post_row(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        y: u32,
-        interp: Interpolator,
-        post: &PostPlan,
-        out_row: &mut [Self],
-    ) {
-        correct_plan_row_post(src, plan, y, interp, post, out_row);
+    #[inline(always)]
+    fn post_pixel(self, post: &PostPlan, x: u32, y: u32) -> Self {
+        PostPixel::post(self, post, x, y)
     }
 
     fn post_row(row: &mut [Self], y: u32, post: &PostPlan) {
@@ -786,24 +750,9 @@ impl EnginePixel for GrayF32 {
     const HAS_SIMD: bool = true;
     const HAS_POST: bool = true;
 
-    fn simd_kernel(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        simd::correct_bilinear_simd_into(src, plan, out);
-        Ok(())
-    }
-
-    fn fused_post_row(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        y: u32,
-        interp: Interpolator,
-        post: &PostPlan,
-        out_row: &mut [Self],
-    ) {
-        correct_plan_row_post(src, plan, y, interp, post, out_row);
+    #[inline(always)]
+    fn post_pixel(self, post: &PostPlan, x: u32, y: u32) -> Self {
+        PostPixel::post(self, post, x, y)
     }
 
     fn post_row(row: &mut [Self], y: u32, post: &PostPlan) {
@@ -820,7 +769,7 @@ impl EnginePixel for pixmap::RgbF32 {}
 // ---------------------------------------------------------------------
 
 /// Shared resources a host execution may borrow from its caller. The
-/// boxed host engines own their resources; callers that already hold
+/// boxed host engine owns its resources; callers that already hold
 /// a pool / geometry (e.g. `CorrectionPipeline`) pass them here
 /// instead so nothing is rebuilt per frame. Map-derived state
 /// (quantized LUTs, span indices) comes from the compiled
@@ -862,32 +811,178 @@ fn check_frame_dims<P: Pixel>(
     Ok(())
 }
 
-/// Execute a host spec over a compiled plan. This is the single
-/// dispatch point the boxed host engines, `CorrectionPipeline` and
-/// videopipe all share — one kernel per path, measured and reported
-/// identically. The float paths iterate the plan's valid spans (no
-/// per-pixel validity branch); `fixed` uses the plan's prequantized
-/// LUT, requantizing (and reporting `plan_miss=1`) only when the plan
-/// was compiled without the requested width.
-pub fn execute_host<P: EnginePixel>(
-    spec: &EngineSpec,
-    interp: Interpolator,
-    src: &Image<P>,
-    plan: &RemapPlan,
-    env: &HostEnv,
-    out: &mut Image<P>,
-) -> Result<FrameReport, EngineError> {
-    execute_host_post(spec, interp, src, plan, None, env, out)
+/// The span sampler a host spec runs its row program with.
+#[derive(Clone, Copy)]
+enum HostSampler {
+    /// `serial`/`smp`: the interpolator's scalar kernel.
+    Scalar(Interpolator),
+    /// `simd`: the 4-lane bilinear kernel.
+    Lanes,
+    /// `fixed`: integer bilinear through quantized LUTs of this width.
+    Fixed(u32),
 }
 
-/// [`execute_host`] with an optional compiled post stage. The
-/// row-oriented float paths (`serial`, `smp`) fuse the stage into the
-/// span traversal (`fused=1`, cost inside `correct_time`); the
-/// kernel paths (`fixed`, `simd`) and `direct` run their kernel and
-/// then one post pass over the output (`fused=0`, cost in
-/// `post_ms`). All paths are bit-exact with each other.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_host_post<P: EnginePixel>(
+/// A host spec resolved for one pixel type: its span sampler and, for
+/// `smp`, the pool its rows are distributed over. The single-plan and
+/// composite executors share it, so both run exactly the same
+/// datapath checks and the same walk.
+pub(crate) struct HostRoute<'e> {
+    name: String,
+    sampler: HostSampler,
+    pool: Option<(&'e ThreadPool, Schedule)>,
+}
+
+impl<'e> HostRoute<'e> {
+    /// Resolve `spec` for pixel type `P`: the 4-lane and integer
+    /// datapaths exist only where `P` has them, `simd` is bilinear
+    /// only, and `smp` needs a pool. `direct` (no plan to walk) and
+    /// the accelerator models resolve to [`EngineError::Unsupported`].
+    pub(crate) fn resolve<P: EnginePixel>(
+        spec: &EngineSpec,
+        interp: Interpolator,
+        env: &HostEnv<'e>,
+    ) -> Result<HostRoute<'e>, EngineError> {
+        let name = spec.name();
+        let unsupported = |reason: String| Err(EngineError::unsupported(&name, reason));
+        let (sampler, pool) = match *spec {
+            EngineSpec::Serial => (HostSampler::Scalar(interp), None),
+            EngineSpec::Smp { schedule } => match env.pool {
+                Some(pool) => (HostSampler::Scalar(interp), Some((pool, schedule))),
+                None => return unsupported("smp needs a thread pool (HostEnv::pool)".into()),
+            },
+            EngineSpec::Simd if !P::HAS_SIMD => {
+                return unsupported("no SoA kernel for this pixel type".into())
+            }
+            EngineSpec::Simd if interp != Interpolator::Bilinear => {
+                return unsupported(format!(
+                    "simd implements bilinear only, not {}",
+                    interp.name()
+                ))
+            }
+            EngineSpec::Simd => (HostSampler::Lanes, None),
+            EngineSpec::FixedPoint { .. } if !P::HAS_FIXED => {
+                return unsupported("no integer datapath for this pixel type".into())
+            }
+            EngineSpec::FixedPoint { frac_bits } => (HostSampler::Fixed(frac_bits), None),
+            EngineSpec::Direct => {
+                return unsupported("direct recomputes the projection and walks no plan".into())
+            }
+            EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
+                return unsupported(
+                    "accelerator model — build it via the facade crate's engine module".into(),
+                )
+            }
+        };
+        Ok(HostRoute {
+            name,
+            sampler,
+            pool,
+        })
+    }
+
+    /// Canonical name of the resolved spec.
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Walk `program` over `sources` into `out` with this route's
+    /// sampler, `post` fused into the traversal. The report carries
+    /// the backend's timing and statistics; the caller adds what its
+    /// program knows (rows, invalid pixels).
+    pub(crate) fn run<P, G, R>(
+        &self,
+        program: &G,
+        sources: Sources<'_, P, R>,
+        post: Option<&PostPlan>,
+        out: &mut Image<P>,
+    ) -> FrameReport
+    where
+        P: EnginePixel,
+        G: Program<P>,
+        R: Borrow<RemapPlan> + Sync,
+    {
+        let mut report = FrameReport::new(&self.name);
+        // per-source LUTs: the compiled width when present, otherwise
+        // derived once through the plan's memo (a cache-shared source
+        // plan derives it once for every consumer)
+        let mut luts = Vec::new();
+        if let HostSampler::Fixed(frac_bits) = self.sampler {
+            let (mut misses, mut derive_ms) = (0u32, 0f64);
+            for plan in sources.plans {
+                let (lut, miss) = plan.borrow().lut(frac_bits);
+                if let Some(ms) = miss {
+                    misses += 1;
+                    derive_ms += ms;
+                }
+                luts.push(lut);
+            }
+            if misses > 0 {
+                report.kv("plan_miss", misses as f64);
+                report.kv("plan_derive_ms", derive_ms);
+            }
+            report.kv("frac_bits", frac_bits as f64);
+        }
+        let t0 = Instant::now();
+        match post {
+            None => self.walk(program, sources, &luts, &NoPost, out),
+            Some(pp) => self.walk(program, sources, &luts, pp, out),
+        }
+        report.correct_time = t0.elapsed();
+        if post.is_some() {
+            report.kv("fused", 1.0);
+        }
+        if let Some((pool, _)) = self.pool {
+            report.kv("threads", pool.threads() as f64);
+        }
+        if let HostSampler::Lanes = self.sampler {
+            report.kv("lanes", simd::LANES as f64);
+        }
+        report
+    }
+
+    /// The walk itself, monomorphized per sampler and post operation.
+    fn walk<P, G, R, Q>(
+        &self,
+        program: &G,
+        sources: Sources<'_, P, R>,
+        luts: &[Lut<'_>],
+        post: &Q,
+        out: &mut Image<P>,
+    ) where
+        P: EnginePixel,
+        G: Program<P>,
+        R: Borrow<RemapPlan> + Sync,
+        Q: PostOp<P>,
+    {
+        match self.sampler {
+            HostSampler::Scalar(interp) => {
+                walk_scalar(program, sources, interp, post, self.pool, out)
+            }
+            HostSampler::Lanes => walk_frame(program, &Lanes { sources }, post, self.pool, out),
+            HostSampler::Fixed(frac_bits) => {
+                let sampler = Fixed {
+                    frames: sources.frames,
+                    luts,
+                    frac_bits,
+                };
+                walk_frame(program, &sampler, post, self.pool, out)
+            }
+        }
+    }
+}
+
+/// Execute a host spec over a compiled plan, with an optional compiled
+/// post stage. This is the single dispatch point the boxed host
+/// engine, `CorrectionPipeline` and videopipe all share. `serial`,
+/// `smp`, `simd` and `fixed` walk the plan's valid spans through the
+/// one span walker ([`crate::walk`]) with their sampler, fusing the
+/// post stage into the traversal (`fused=1`, cost inside
+/// `correct_time`); `fixed` reads the plan's prequantized LUT,
+/// requantizing (and reporting `plan_miss=1`) only when the plan was
+/// compiled without the requested width. `direct` walks no plan: it
+/// recomputes the projection per pixel and grades with the two-pass
+/// [`post_pass`] (`fused=0`). All paths are bit-exact with each other.
+pub fn execute_host<P: EnginePixel>(
     spec: &EngineSpec,
     interp: Interpolator,
     src: &Image<P>,
@@ -896,132 +991,32 @@ pub fn execute_host_post<P: EnginePixel>(
     env: &HostEnv,
     out: &mut Image<P>,
 ) -> Result<FrameReport, EngineError> {
-    let name = spec.name();
-    let mut report = FrameReport::new(&name);
-    report.rows = plan.height() as u64;
-    match *spec {
-        EngineSpec::Serial => {
-            check_frame_dims(&name, src, plan, out)?;
-            match active_post::<P>(&name, post)? {
-                Some(pp) => {
-                    let t0 = Instant::now();
-                    for y in 0..plan.height() {
-                        P::fused_post_row(src, plan, y, interp, pp, out.row_mut(y));
-                    }
-                    report.correct_time = t0.elapsed();
-                    report.kv("fused", 1.0);
-                }
-                None => {
-                    let t0 = Instant::now();
-                    for y in 0..plan.height() {
-                        correct_plan_row(src, plan, y, interp, out.row_mut(y));
-                    }
-                    report.correct_time = t0.elapsed();
-                }
-            }
-            report.invalid_pixels = plan.invalid_pixels();
-        }
-        EngineSpec::Smp { schedule } => {
-            check_frame_dims(&name, src, plan, out)?;
-            let pool = env.pool.ok_or_else(|| {
-                EngineError::unsupported(&name, "smp needs a thread pool (HostEnv::pool)")
-            })?;
-            let w = plan.width() as usize;
-            match active_post::<P>(&name, post)? {
-                Some(pp) => {
-                    let t0 = Instant::now();
-                    pool.parallel_rows(out.pixels_mut(), w, schedule, &|row, out_row| {
-                        P::fused_post_row(src, plan, row as u32, interp, pp, out_row);
-                    });
-                    report.correct_time = t0.elapsed();
-                    report.kv("fused", 1.0);
-                }
-                None => {
-                    let t0 = Instant::now();
-                    pool.parallel_rows(out.pixels_mut(), w, schedule, &|row, out_row| {
-                        correct_plan_row(src, plan, row as u32, interp, out_row);
-                    });
-                    report.correct_time = t0.elapsed();
-                }
-            }
-            report.invalid_pixels = plan.invalid_pixels();
-            report.kv("threads", pool.threads() as f64);
-        }
-        EngineSpec::Direct => {
-            check_frame_dims(&name, src, plan, out)?;
-            let (lens, view) = env.geometry.ok_or_else(|| {
-                EngineError::unsupported(&name, "direct needs lens+view (HostEnv::geometry)")
-            })?;
-            if (view.width, view.height) != (plan.width(), plan.height()) {
-                return Err(EngineError::backend(
-                    &name,
-                    "view dimensions do not match the plan",
-                ));
-            }
-            let mut direct_report = execute_direct(interp, src, lens, view, out)?;
-            post_pass::<P>(&name, post, out, &mut direct_report)?;
-            return Ok(direct_report);
-        }
-        EngineSpec::FixedPoint { frac_bits } => {
-            check_frame_dims(&name, src, plan, out)?;
-            if !P::HAS_FIXED {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no integer datapath for this pixel type",
-                ));
-            }
-            let owned;
-            let fmap = match plan.fixed(frac_bits) {
-                Some(f) => f,
-                None => {
-                    // Plan miss: derive through the plan's memo so
-                    // only the first frame after a (delta) compile
-                    // pays the quantization; later frames hit the
-                    // memo and report nothing.
-                    let (arc, derived_ms) = plan.fixed_lazy(frac_bits);
-                    if let Some(ms) = derived_ms {
-                        report.kv("plan_miss", 1.0);
-                        report.kv("plan_derive_ms", ms);
-                    }
-                    owned = arc;
-                    &owned
-                }
-            };
-            let t0 = Instant::now();
-            P::fixed_kernel(src, fmap, out)?;
-            report.correct_time = t0.elapsed();
-            report.invalid_pixels = plan.invalid_pixels();
-            report.kv("frac_bits", frac_bits as f64);
-            post_pass::<P>(&name, post, out, &mut report)?;
-        }
-        EngineSpec::Simd => {
-            check_frame_dims(&name, src, plan, out)?;
-            if !P::HAS_SIMD {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no SoA kernel for this pixel type",
-                ));
-            }
-            if interp != Interpolator::Bilinear {
-                return Err(EngineError::unsupported(
-                    &name,
-                    format!("simd implements bilinear only, not {}", interp.name()),
-                ));
-            }
-            let t0 = Instant::now();
-            P::simd_kernel(src, plan, out)?;
-            report.correct_time = t0.elapsed();
-            report.invalid_pixels = plan.invalid_pixels();
-            report.kv("lanes", simd::LANES as f64);
-            post_pass::<P>(&name, post, out, &mut report)?;
-        }
-        EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
-            return Err(EngineError::unsupported(
+    if *spec == EngineSpec::Direct {
+        let name = spec.name();
+        check_frame_dims(&name, src, plan, out)?;
+        let (lens, view) = env.geometry.ok_or_else(|| {
+            EngineError::unsupported(&name, "direct needs lens+view (HostEnv::geometry)")
+        })?;
+        if (view.width, view.height) != (plan.width(), plan.height()) {
+            return Err(EngineError::backend(
                 &name,
-                "accelerator model — build it via the facade crate's engine module",
+                "view dimensions do not match the plan",
             ));
         }
+        let mut report = execute_direct(interp, src, lens, view, out)?;
+        post_pass::<P>(&name, post, out, &mut report)?;
+        return Ok(report);
     }
+    let route = HostRoute::resolve::<P>(spec, interp, env)?;
+    check_frame_dims(route.name(), src, plan, out)?;
+    let post = active_post::<P>(route.name(), post)?;
+    let sources = Sources {
+        frames: std::slice::from_ref(&src),
+        plans: std::slice::from_ref(&plan),
+    };
+    let mut report = route.run(plan, sources, post, out);
+    report.rows = plan.height() as u64;
+    report.invalid_pixels = plan.invalid_pixels();
     Ok(report)
 }
 
@@ -1098,115 +1093,53 @@ impl Default for HostCtx<'_> {
     }
 }
 
-/// Build a boxed host engine for `spec`. Accelerator specs return
+/// Build a boxed host engine for `spec`, validated through the same
+/// resolution [`execute_host`] runs. Accelerator specs return
 /// [`EngineError::Unsupported`]; the `fisheye` facade crate resolves
 /// those.
 pub fn build_host<P: EnginePixel>(
     spec: &EngineSpec,
     ctx: &HostCtx,
 ) -> Result<Box<dyn CorrectionEngine<P>>, EngineError> {
-    let name = spec.name();
-    match *spec {
-        EngineSpec::Serial => Ok(Box::new(SerialEngine { interp: ctx.interp })),
-        EngineSpec::Smp { schedule } => Ok(Box::new(SmpEngine {
-            spec: EngineSpec::Smp { schedule },
-            interp: ctx.interp,
-            pool: ThreadPool::new(ctx.threads.max(1)),
-        })),
-        EngineSpec::Direct => {
-            let (lens, view) = ctx.geometry.ok_or_else(|| {
-                EngineError::unsupported(&name, "direct needs lens+view (HostCtx::geometry)")
-            })?;
-            Ok(Box::new(DirectEngine {
-                interp: ctx.interp,
-                lens: *lens,
-                view: *view,
-            }))
+    let engine = HostEngine {
+        spec: *spec,
+        interp: ctx.interp,
+        pool: matches!(spec, EngineSpec::Smp { .. }).then(|| ThreadPool::new(ctx.threads.max(1))),
+        geometry: ctx.geometry.map(|(lens, view)| (*lens, *view)),
+    };
+    if *spec == EngineSpec::Direct {
+        if engine.geometry.is_none() {
+            return Err(EngineError::unsupported(
+                spec.name(),
+                "direct needs lens+view (HostCtx::geometry)",
+            ));
         }
-        EngineSpec::FixedPoint { frac_bits } => {
-            if !P::HAS_FIXED {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no integer datapath for this pixel type",
-                ));
-            }
-            Ok(Box::new(FixedPointEngine { frac_bits }))
-        }
-        EngineSpec::Simd => {
-            if !P::HAS_SIMD {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no SoA kernel for this pixel type",
-                ));
-            }
-            if ctx.interp != Interpolator::Bilinear {
-                return Err(EngineError::unsupported(
-                    &name,
-                    format!("simd implements bilinear only, not {}", ctx.interp.name()),
-                ));
-            }
-            Ok(Box::new(SimdEngine))
-        }
-        EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
-            Err(EngineError::unsupported(
-                &name,
-                "accelerator model — build it via the facade crate's engine module",
-            ))
-        }
+    } else {
+        HostRoute::resolve::<P>(spec, ctx.interp, &engine.env())?;
     }
+    Ok(Box::new(engine))
 }
 
-struct SerialEngine {
-    interp: Interpolator,
-}
-
-impl<P: EnginePixel> CorrectionEngine<P> for SerialEngine {
-    fn name(&self) -> String {
-        EngineSpec::Serial.name()
-    }
-
-    fn correct_frame(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host(
-            &EngineSpec::Serial,
-            self.interp,
-            src,
-            plan,
-            &HostEnv::default(),
-            out,
-        )
-    }
-
-    fn correct_frame_post(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        post: Option<&PostPlan>,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host_post(
-            &EngineSpec::Serial,
-            self.interp,
-            src,
-            plan,
-            post,
-            &HostEnv::default(),
-            out,
-        )
-    }
-}
-
-struct SmpEngine {
+/// The boxed host engine: one struct for every host spec, owning what
+/// its spec needs (the `smp` pool, the `direct` geometry) and
+/// forwarding every frame to [`execute_host`].
+struct HostEngine {
     spec: EngineSpec,
     interp: Interpolator,
-    pool: ThreadPool,
+    pool: Option<ThreadPool>,
+    geometry: Option<(FisheyeLens, PerspectiveView)>,
 }
 
-impl<P: EnginePixel> CorrectionEngine<P> for SmpEngine {
+impl HostEngine {
+    fn env(&self) -> HostEnv<'_> {
+        HostEnv {
+            pool: self.pool.as_ref(),
+            geometry: self.geometry.as_ref().map(|(lens, view)| (lens, view)),
+        }
+    }
+}
+
+impl<P: EnginePixel> CorrectionEngine<P> for HostEngine {
     fn name(&self) -> String {
         self.spec.name()
     }
@@ -1217,11 +1150,7 @@ impl<P: EnginePixel> CorrectionEngine<P> for SmpEngine {
         plan: &RemapPlan,
         out: &mut Image<P>,
     ) -> Result<FrameReport, EngineError> {
-        let env = HostEnv {
-            pool: Some(&self.pool),
-            ..Default::default()
-        };
-        execute_host(&self.spec, self.interp, src, plan, &env, out)
+        execute_host(&self.spec, self.interp, src, plan, None, &self.env(), out)
     }
 
     fn correct_frame_post(
@@ -1231,143 +1160,7 @@ impl<P: EnginePixel> CorrectionEngine<P> for SmpEngine {
         post: Option<&PostPlan>,
         out: &mut Image<P>,
     ) -> Result<FrameReport, EngineError> {
-        let env = HostEnv {
-            pool: Some(&self.pool),
-            ..Default::default()
-        };
-        execute_host_post(&self.spec, self.interp, src, plan, post, &env, out)
-    }
-}
-
-struct DirectEngine {
-    interp: Interpolator,
-    lens: FisheyeLens,
-    view: PerspectiveView,
-}
-
-impl<P: EnginePixel> CorrectionEngine<P> for DirectEngine {
-    fn name(&self) -> String {
-        EngineSpec::Direct.name()
-    }
-
-    fn correct_frame(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        let env = HostEnv {
-            geometry: Some((&self.lens, &self.view)),
-            ..Default::default()
-        };
-        execute_host(&EngineSpec::Direct, self.interp, src, plan, &env, out)
-    }
-
-    fn correct_frame_post(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        post: Option<&PostPlan>,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        let env = HostEnv {
-            geometry: Some((&self.lens, &self.view)),
-            ..Default::default()
-        };
-        execute_host_post(&EngineSpec::Direct, self.interp, src, plan, post, &env, out)
-    }
-}
-
-struct FixedPointEngine {
-    frac_bits: u32,
-}
-
-impl<P: EnginePixel> CorrectionEngine<P> for FixedPointEngine {
-    fn name(&self) -> String {
-        EngineSpec::FixedPoint {
-            frac_bits: self.frac_bits,
-        }
-        .name()
-    }
-
-    fn correct_frame(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host(
-            &EngineSpec::FixedPoint {
-                frac_bits: self.frac_bits,
-            },
-            Interpolator::Bilinear,
-            src,
-            plan,
-            &HostEnv::default(),
-            out,
-        )
-    }
-
-    fn correct_frame_post(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        post: Option<&PostPlan>,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host_post(
-            &EngineSpec::FixedPoint {
-                frac_bits: self.frac_bits,
-            },
-            Interpolator::Bilinear,
-            src,
-            plan,
-            post,
-            &HostEnv::default(),
-            out,
-        )
-    }
-}
-
-struct SimdEngine;
-
-impl<P: EnginePixel> CorrectionEngine<P> for SimdEngine {
-    fn name(&self) -> String {
-        EngineSpec::Simd.name()
-    }
-
-    fn correct_frame(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host(
-            &EngineSpec::Simd,
-            Interpolator::Bilinear,
-            src,
-            plan,
-            &HostEnv::default(),
-            out,
-        )
-    }
-
-    fn correct_frame_post(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        post: Option<&PostPlan>,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host_post(
-            &EngineSpec::Simd,
-            Interpolator::Bilinear,
-            src,
-            plan,
-            post,
-            &HostEnv::default(),
-            out,
-        )
+        execute_host(&self.spec, self.interp, src, plan, post, &self.env(), out)
     }
 }
 
@@ -1519,31 +1312,37 @@ mod tests {
 
     #[test]
     fn host_engines_match_serial_reference_gray8() {
-        let (lens, view, map, src) = workload();
-        let plan = plan_for(&map);
-        let reference = correct(&src, &map, Interpolator::Bilinear);
-        let ctx = HostCtx {
-            geometry: Some((&lens, &view)),
-            ..Default::default()
-        };
-        for spec in EngineSpec::registry().iter().filter(|s| s.is_host()) {
-            let engine = build_host::<Gray8>(spec, &ctx).unwrap();
-            let mut out = Image::new(map.width(), map.height());
-            let report = engine.correct_frame(&src, &plan, &mut out).unwrap();
-            assert_eq!(report.backend, spec.name());
-            assert_eq!(report.rows, 60);
-            match spec.numeric_class() {
-                NumericClass::Float => {
-                    assert_eq!(out, reference, "{}", spec.name());
-                }
-                NumericClass::Fixed { frac_bits } => {
-                    let fixed_ref = correct_fixed(&src, &map.to_fixed(frac_bits));
-                    assert_eq!(out, fixed_ref, "{}", spec.name());
-                    assert!(
-                        !report.model.contains_key("plan_miss"),
-                        "registry plan must satisfy {}",
-                        spec.name()
-                    );
+        // widths off the 4-lane grid run every scalar tail of the simd
+        // sampler; every backend must stay byte-equal to its reference
+        let (lens, _, _, src) = workload();
+        for out_w in [80u32, 77, 78, 79, 81] {
+            let view = PerspectiveView::centered(out_w, 60, 90.0);
+            let map = RemapMap::build(&lens, &view, 160, 120);
+            let plan = plan_for(&map);
+            let reference = correct(&src, &map, Interpolator::Bilinear);
+            let ctx = HostCtx {
+                geometry: Some((&lens, &view)),
+                ..Default::default()
+            };
+            for spec in EngineSpec::registry().iter().filter(|s| s.is_host()) {
+                let engine = build_host::<Gray8>(spec, &ctx).unwrap();
+                let mut out = Image::new(map.width(), map.height());
+                let report = engine.correct_frame(&src, &plan, &mut out).unwrap();
+                let name = spec.name();
+                assert_eq!(report.backend, name);
+                assert_eq!(report.rows, 60);
+                match spec.numeric_class() {
+                    NumericClass::Float => {
+                        assert_eq!(out, reference, "{name} width {out_w}");
+                    }
+                    NumericClass::Fixed { frac_bits } => {
+                        let fixed_ref = correct_fixed(&src, &map.to_fixed(frac_bits));
+                        assert_eq!(out, fixed_ref, "{name} width {out_w}");
+                        assert!(
+                            !report.model.contains_key("plan_miss"),
+                            "registry plan must satisfy {name}"
+                        );
+                    }
                 }
             }
         }

@@ -155,7 +155,7 @@ pub fn sample_bicubic<P: Pixel>(img: &Image<P>, sx: f32, sy: f32) -> P {
 /// plus Q0.`frac` weights, accumulating in `u32` exactly like the
 /// fixed-point datapath of a hardware interpolator. Returns the
 /// rounded 8-bit value.
-#[inline]
+#[inline(always)]
 pub fn sample_bilinear_fixed_gray8(
     img: &Image<Gray8>,
     x0: i16,

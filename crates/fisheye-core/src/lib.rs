@@ -51,13 +51,13 @@ pub mod post;
 pub mod simd;
 pub mod synth;
 pub mod tile;
+pub mod walk;
 
 pub use antialias::{correct_antialiased, AaConfig};
 pub use composite::{
-    compose_layers, compose_two_pass, composite_plan_row, composite_plan_row_post,
-    execute_composite_host, panorama_camera_digest, panorama_camera_map, panorama_scores,
-    rectified_camera_digest, rectified_camera_map, CompositeFrameCorrector, CompositePixel,
-    CompositePlan, CompositeViewPlan, StereoPlan,
+    compose_layers, compose_two_pass, execute_composite_host, panorama_camera_digest,
+    panorama_camera_map, panorama_scores, rectified_camera_digest, rectified_camera_map,
+    CompositeFrameCorrector, CompositePixel, CompositePlan, CompositeViewPlan, StereoPlan,
 };
 pub use correct::{correct, correct_fixed, correct_fixed_into, correct_into, correct_parallel};
 pub use engine::{

@@ -255,6 +255,7 @@ impl<'p> CorrectionPipeline<'p> {
             self.config.interp,
             frame,
             plan,
+            None,
             &env,
             out,
         )?;

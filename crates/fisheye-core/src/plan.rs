@@ -34,7 +34,10 @@
 //! compiled with (a missing `frac_bits` width, a missing tile
 //! geometry) derives it on the fly and flags the report with
 //! `plan_miss=1`, keeping execution functional while making the
-//! compiled path the fast one.
+//! compiled path the fast one. Every host backend executes a plan
+//! through the one span walker in [`crate::walk`]: the valid spans
+//! are the row program, and the backend only picks the span sampler
+//! (scalar, 4-lane or fixed-point LUT).
 //!
 //! Compilation is deterministic: the same map and options produce a
 //! byte-identical plan (see [`RemapPlan::digest`]), which is what
@@ -47,10 +50,10 @@ use par_runtime::sync::Mutex;
 use pixmap::{Image, Pixel};
 
 use crate::engine::EngineSpec;
-use crate::interp::{sample_bicubic, sample_bilinear, sample_nearest, Interpolator};
+use crate::interp::Interpolator;
 use crate::map::{FixedRemapMap, RemapMap};
-use crate::post::{PostPixel, PostPlan};
 use crate::tile::TilePlan;
+use crate::walk::{walk_scalar, Lut, NoPost, Sources};
 
 /// What [`RemapPlan::compile`] should prederive beyond the SoA planes
 /// and valid spans (which are always built).
@@ -555,6 +558,20 @@ impl RemapPlan {
         (f, Some(ms))
     }
 
+    /// The quantized LUT for `frac_bits` as a sampler uses it: borrowed
+    /// from the compiled set when present, otherwise through
+    /// [`RemapPlan::fixed_lazy`] (with its derivation time when this
+    /// call materialized it — a plan miss).
+    pub(crate) fn lut(&self, frac_bits: u32) -> (Lut<'_>, Option<f64>) {
+        match self.fixed(frac_bits) {
+            Some(l) => (Lut::Compiled(l), None),
+            None => {
+                let (l, ms) = self.fixed_lazy(frac_bits);
+                (Lut::Derived(l), ms)
+            }
+        }
+    }
+
     /// Derive (or fetch the memoized) tile plan for a geometry the
     /// plan was *not* compiled with — the plan-miss path, memoized
     /// like [`RemapPlan::fixed_lazy`]. The footprint margin uses the
@@ -618,121 +635,9 @@ impl RemapPlan {
     }
 }
 
-/// Correct one output row through the plan's span index: gaps between
-/// spans render black, spans sample without any validity branch.
-/// Bit-exact with [`crate::correct::correct_row`] on the same map.
-#[inline]
-pub fn correct_plan_row<P: Pixel>(
-    src: &Image<P>,
-    plan: &RemapPlan,
-    y: u32,
-    interp: Interpolator,
-    out_row: &mut [P],
-) {
-    debug_assert_eq!(out_row.len(), plan.width() as usize);
-    // hoist the kernel dispatch out of the pixel loop
-    match interp {
-        Interpolator::Nearest => span_row(plan, y, out_row, |x, yy| sample_nearest(src, x, yy)),
-        Interpolator::Bilinear => span_row(plan, y, out_row, |x, yy| sample_bilinear(src, x, yy)),
-        Interpolator::Bicubic => span_row(plan, y, out_row, |x, yy| sample_bicubic(src, x, yy)),
-    }
-}
-
-/// Walk one row's spans with a monomorphized sampler: gaps between
-/// spans fill black, so the common full-coverage row writes each pixel
-/// exactly once.
-#[inline]
-fn span_row<P: Pixel>(plan: &RemapPlan, y: u32, out_row: &mut [P], sample: impl Fn(f32, f32) -> P) {
-    let sx = plan.row_sx(y);
-    let sy = plan.row_sy(y);
-    let mut cursor = 0usize;
-    for s in plan.spans(y) {
-        out_row[cursor..s.start as usize].fill(P::BLACK);
-        let r = s.start as usize..s.end as usize;
-        for ((x, yy), o) in sx[r.clone()]
-            .iter()
-            .zip(&sy[r.clone()])
-            .zip(&mut out_row[r.clone()])
-        {
-            *o = sample(*x, *yy);
-        }
-        cursor = r.end;
-    }
-    out_row[cursor..].fill(P::BLACK);
-}
-
-/// [`correct_plan_row`] with the post-correction color stage fused
-/// into the span walk: every output pixel — sampled spans and black
-/// gap fill alike — passes through `post` in the same traversal, so
-/// corrected+graded output costs one pass over the row instead of
-/// remap-then-grade over the full frame. Bit-exact with correcting
-/// the row first and then applying [`PostPixel::post_row`] over it
-/// (the two-pass golden reference).
-#[inline]
-pub fn correct_plan_row_post<P: PostPixel>(
-    src: &Image<P>,
-    plan: &RemapPlan,
-    y: u32,
-    interp: Interpolator,
-    post: &PostPlan,
-    out_row: &mut [P],
-) {
-    if post.is_noop() {
-        return correct_plan_row(src, plan, y, interp, out_row);
-    }
-    debug_assert_eq!(out_row.len(), plan.width() as usize);
-    match interp {
-        Interpolator::Nearest => {
-            span_row_post(plan, y, post, out_row, |x, yy| sample_nearest(src, x, yy))
-        }
-        Interpolator::Bilinear => {
-            span_row_post(plan, y, post, out_row, |x, yy| sample_bilinear(src, x, yy))
-        }
-        Interpolator::Bicubic => {
-            span_row_post(plan, y, post, out_row, |x, yy| sample_bicubic(src, x, yy))
-        }
-    }
-}
-
-/// [`span_row`] with the compiled post stage applied to each pixel
-/// as it is produced. Gap fill goes through post too (dither makes
-/// even the fill coordinate-dependent), matching what a full-frame
-/// second pass would do to the black borders.
-#[inline]
-fn span_row_post<P: PostPixel>(
-    plan: &RemapPlan,
-    y: u32,
-    post: &PostPlan,
-    out_row: &mut [P],
-    sample: impl Fn(f32, f32) -> P,
-) {
-    let sx = plan.row_sx(y);
-    let sy = plan.row_sy(y);
-    let fill = |row: &mut [P], start: usize| {
-        for (i, o) in row.iter_mut().enumerate() {
-            *o = P::BLACK.post(post, (start + i) as u32, y);
-        }
-    };
-    let mut cursor = 0usize;
-    for s in plan.spans(y) {
-        fill(&mut out_row[cursor..s.start as usize], cursor);
-        let r = s.start as usize..s.end as usize;
-        for (i, ((x, yy), o)) in sx[r.clone()]
-            .iter()
-            .zip(&sy[r.clone()])
-            .zip(&mut out_row[r.clone()])
-            .enumerate()
-        {
-            *o = sample(*x, *yy).post(post, s.start + i as u32, y);
-        }
-        cursor = r.end;
-    }
-    let tail = cursor;
-    fill(&mut out_row[tail..], tail);
-}
-
-/// Serial span-based correction into a pre-allocated output image.
-/// Bit-exact with [`crate::correct::correct_into`].
+/// Serial span-based correction into a pre-allocated output image:
+/// the shared span walker ([`crate::walk`]) with the scalar sampler
+/// and no post stage. Bit-exact with [`crate::correct::correct_into`].
 pub fn correct_plan_into<P: Pixel>(
     src: &Image<P>,
     plan: &RemapPlan,
@@ -749,9 +654,11 @@ pub fn correct_plan_into<P: Pixel>(
         plan.src_dims(),
         "source dimensions must match the plan"
     );
-    for y in 0..plan.height() {
-        correct_plan_row(src, plan, y, interp, out.row_mut(y));
-    }
+    let sources = Sources {
+        frames: std::slice::from_ref(&src),
+        plans: std::slice::from_ref(&plan),
+    };
+    walk_scalar(plan, sources, interp, &NoPost, None, out);
 }
 
 /// Serial span-based correction, allocating the output.

@@ -10,8 +10,8 @@
 //! noise dither), and [`PostStage::compile`] lowers it into a
 //! [`PostPlan`] — an immutable per-plane execution artifact
 //! analogous to [`RemapPlan`](crate::plan::RemapPlan) — that the
-//! span loop in [`correct_plan_row_post`](crate::plan::correct_plan_row_post)
-//! applies in the same memory traversal as the remap.
+//! host span walker ([`crate::walk`]) applies in the same memory
+//! traversal as the remap.
 //!
 //! # Bit-exactness by construction
 //!
@@ -649,7 +649,8 @@ impl PostPlan {
 }
 
 /// Pixel types the post stage knows how to encode. The remap fusion
-/// seam ([`correct_plan_row_post`](crate::plan::correct_plan_row_post))
+/// seam (the span walker in [`crate::walk`], through
+/// [`EnginePixel::post_pixel`](crate::engine::EnginePixel::post_pixel))
 /// and the engines' two-pass fallback both go through this trait.
 pub trait PostPixel: Pixel {
     /// Apply `plan` to one pixel at output coordinate `(x, y)`.

@@ -1,4 +1,4 @@
-//! SIMD-structured correction kernel.
+//! SIMD-structured bilinear sampler.
 //!
 //! The paper's SPE and SSE ports restructure the inner loop to process
 //! four output pixels at once with structure-of-arrays weights, so the
@@ -9,75 +9,79 @@
 //! against the scalar kernel. Results are bit-exact with the scalar
 //! float path.
 //!
-//! The kernel consumes a compiled [`RemapPlan`]: the coordinates come
-//! straight from the plan's SoA planes (no AoS `MapEntry` unpacking),
-//! and iteration walks the per-row valid spans, so the 4-lane gather
-//! carries no validity mask at all — every lane inside a span is
-//! valid by construction, and the gaps are filled black up front.
+//! `Lanes` is the `simd` backend's span sampler for the shared span
+//! walker ([`crate::walk`]): coordinates come straight from the plan's
+//! SoA planes, and because the walker only hands it valid runs, the
+//! 4-lane gather carries no validity mask at all. Taps are read from
+//! the frame's own pixel type (`Gray8` or `GrayF32`) through the same
+//! `channel_f32` conversion the scalar kernel uses, so the lanes match
+//! it bit for bit and a frame needs no float copy of its source or
+//! output.
 
-use pixmap::{Gray8, GrayF32, Image};
+use std::borrow::Borrow;
 
+use pixmap::{Image, Pixel};
+
+use crate::interp::sample_bilinear;
 use crate::plan::RemapPlan;
+use crate::walk::{PostOp, Sampler, Sources};
 
 /// Number of lanes processed together.
 pub const LANES: usize = 4;
 
-/// Bilinear-correct one frame with the 4-lane SoA kernel. Bit-exact
-/// with `correct(…, Interpolator::Bilinear, …)` on `GrayF32` inputs.
-pub fn correct_bilinear_simd(src: &Image<GrayF32>, plan: &RemapPlan) -> Image<GrayF32> {
-    let mut out = Image::new(plan.width(), plan.height());
-    correct_bilinear_simd_into(src, plan, &mut out);
-    out
+/// The 4-lane bilinear span sampler for single-channel pixel types.
+/// Single pixels (blend runs) go through `sample_bilinear`, which the
+/// lanes match bit for bit.
+pub(crate) struct Lanes<'a, P: Pixel, R> {
+    pub sources: Sources<'a, P, R>,
 }
 
-/// [`correct_bilinear_simd`] into a pre-allocated output image
-/// (dimensions must match the plan).
-pub fn correct_bilinear_simd_into(
-    src: &Image<GrayF32>,
-    plan: &RemapPlan,
-    out: &mut Image<GrayF32>,
+impl<P: Pixel, R: Borrow<RemapPlan> + Sync> Sampler<P> for Lanes<'_, P, R> {
+    #[inline]
+    fn span<Q: PostOp<P>>(&self, source: usize, y: u32, start: usize, out: &mut [P], post: &Q) {
+        let (src, sx, sy) = self.sources.row(source, y);
+        let r = start..start + out.len();
+        lanes_span(src, &sx[r.clone()], &sy[r], post, (start, y), out);
+    }
+
+    #[inline]
+    fn pixel(&self, source: usize, y: u32, x: usize) -> P {
+        let (src, sx, sy) = self.sources.row(source, y);
+        sample_bilinear(src, sx[x], sy[x])
+    }
+}
+
+/// The 4-lane kernel over one span, kept out of line with the frame,
+/// coordinates and output as plain (non-aliasing) arguments: whole
+/// lanes through [`gather4`], the scalar tail through
+/// `sample_bilinear`, then `post` over the span while it is still in
+/// L1 — a post lookup inside the lane loop would split the lane math.
+#[inline(never)]
+fn lanes_span<P: Pixel, Q: PostOp<P>>(
+    src: &Image<P>,
+    sx: &[f32],
+    sy: &[f32],
+    post: &Q,
+    (start, y): (usize, u32),
+    out: &mut [P],
 ) {
-    assert_eq!(
-        out.dims(),
-        (plan.width(), plan.height()),
-        "output dimensions must match the plan"
-    );
-    for y in 0..plan.height() {
-        let sx = plan.row_sx(y);
-        let sy = plan.row_sy(y);
-        let out_row = out.row_mut(y);
-        out_row.fill(GrayF32(0.0));
-        for s in plan.spans(y) {
-            let r = s.start as usize..s.end as usize;
-            gather_span(src, &sx[r.clone()], &sy[r.clone()], &mut out_row[r]);
+    debug_assert_eq!(P::CHANNELS, 1, "the lane kernel gathers one channel");
+    let whole = out.len() / LANES * LANES;
+    let (body, tail) = out.split_at_mut(whole);
+    for (k, o4) in body.chunks_exact_mut(LANES).enumerate() {
+        let x = k * LANES;
+        let cx: &[f32; LANES] = sx[x..x + LANES].try_into().unwrap();
+        let cy: &[f32; LANES] = sy[x..x + LANES].try_into().unwrap();
+        for (o, v) in o4.iter_mut().zip(gather4(src, cx, cy)) {
+            *o = P::from_channels_f32(&[v]);
         }
     }
-}
-
-/// Bilinear-gather one span of coordinates with the 4-lane kernel:
-/// whole lanes through [`gather4`], scalar tail through
-/// `sample_bilinear`. Every coordinate must be valid (the caller
-/// iterates a plan's span index). This is the span-level seam the
-/// composite executor shares with the whole-frame kernel; both are
-/// bit-exact with the scalar float path.
-pub(crate) fn gather_span(src: &Image<GrayF32>, sx: &[f32], sy: &[f32], out: &mut [GrayF32]) {
-    debug_assert_eq!(sx.len(), out.len());
-    debug_assert_eq!(sy.len(), out.len());
-    let end = out.len();
-    let mut x = 0usize;
-    while x + LANES <= end {
-        let cx: [f32; LANES] = sx[x..x + LANES].try_into().unwrap();
-        let cy: [f32; LANES] = sy[x..x + LANES].try_into().unwrap();
-        let vals = gather4(src, &cx, &cy);
-        out[x..x + LANES]
-            .iter_mut()
-            .zip(vals)
-            .for_each(|(o, v)| *o = GrayF32(v));
-        x += LANES;
+    for (i, o) in tail.iter_mut().enumerate() {
+        let x = whole + i;
+        *o = sample_bilinear(src, sx[x], sy[x]);
     }
-    // scalar tail of the span
-    for x in x..end {
-        out[x] = crate::interp::sample_bilinear(src, sx[x], sy[x]);
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = post.apply(*o, start + i, y);
     }
 }
 
@@ -85,8 +89,8 @@ pub(crate) fn gather_span(src: &Image<GrayF32>, sx: &[f32], sy: &[f32], out: &mu
 /// arithmetic is expressed as independent per-lane arrays so the
 /// compiler can keep each step in one vector register. No validity
 /// handling: span iteration guarantees every lane is valid.
-#[inline]
-fn gather4(src: &Image<GrayF32>, cx: &[f32; LANES], cy: &[f32; LANES]) -> [f32; LANES] {
+#[inline(always)]
+fn gather4<P: Pixel>(src: &Image<P>, cx: &[f32; LANES], cy: &[f32; LANES]) -> [f32; LANES] {
     let mut fx = [0f32; LANES];
     let mut fy = [0f32; LANES];
     for i in 0..LANES {
@@ -113,10 +117,10 @@ fn gather4(src: &Image<GrayF32>, cx: &[f32; LANES], cy: &[f32; LANES]) -> [f32; 
     for i in 0..LANES {
         let xi = x0[i] as i64;
         let yi = y0[i] as i64;
-        p00[i] = src.pixel_clamped(xi, yi).0;
-        p10[i] = src.pixel_clamped(xi + 1, yi).0;
-        p01[i] = src.pixel_clamped(xi, yi + 1).0;
-        p11[i] = src.pixel_clamped(xi + 1, yi + 1).0;
+        p00[i] = src.pixel_clamped(xi, yi).channel_f32(0);
+        p10[i] = src.pixel_clamped(xi + 1, yi).channel_f32(0);
+        p01[i] = src.pixel_clamped(xi, yi + 1).channel_f32(0);
+        p11[i] = src.pixel_clamped(xi + 1, yi + 1).channel_f32(0);
     }
     let mut out = [0f32; LANES];
     for i in 0..LANES {
@@ -127,41 +131,13 @@ fn gather4(src: &Image<GrayF32>, cx: &[f32; LANES], cy: &[f32; LANES]) -> [f32; 
     out
 }
 
-/// Convenience: run the SIMD kernel on an 8-bit frame by lifting to
-/// float lanes (one conversion pass, as the SPE port does when
-/// unpacking bytes into vector registers).
-pub fn correct_bilinear_simd_gray8(src: &Image<Gray8>, plan: &RemapPlan) -> Image<Gray8> {
-    let srcf: Image<GrayF32> = src.map(GrayF32::from);
-    correct_bilinear_simd(&srcf, plan).map(Gray8::from)
-}
-
-/// [`correct_bilinear_simd_gray8`] into a pre-allocated output image.
-/// Bit-exact with the serial `Gray8` bilinear path: the lift to float
-/// (`v / 255`), the lane arithmetic, and the final quantization match
-/// `sample_bilinear`'s per-pixel operation order exactly.
-pub fn correct_bilinear_simd_gray8_into(
-    src: &Image<Gray8>,
-    plan: &RemapPlan,
-    out: &mut Image<Gray8>,
-) {
-    assert_eq!(
-        out.dims(),
-        (plan.width(), plan.height()),
-        "output dimensions must match the plan"
-    );
-    let srcf: Image<GrayF32> = src.map(GrayF32::from);
-    let mut outf: Image<GrayF32> = Image::new(plan.width(), plan.height());
-    correct_bilinear_simd_into(&srcf, plan, &mut outf);
-    for (o, v) in out.pixels_mut().iter_mut().zip(outf.pixels()) {
-        *o = Gray8::from(*v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use pixmap::{GrayF32, Image};
+
+    use crate::engine::{execute_host, EngineSpec, HostEnv};
     use crate::map::RemapMap;
-    use crate::plan::PlanOptions;
+    use crate::plan::{PlanOptions, RemapPlan};
     use crate::{correct, Interpolator};
     use fisheye_geom::{FisheyeLens, PerspectiveView};
 
@@ -174,12 +150,26 @@ mod tests {
         (map, plan, src)
     }
 
+    fn simd<P: crate::EnginePixel>(src: &Image<P>, plan: &RemapPlan) -> Image<P> {
+        let mut out = Image::new(plan.width(), plan.height());
+        execute_host(
+            &EngineSpec::Simd,
+            Interpolator::Bilinear,
+            src,
+            plan,
+            None,
+            &HostEnv::default(),
+            &mut out,
+        )
+        .unwrap();
+        out
+    }
+
     #[test]
     fn bit_exact_vs_scalar() {
         let (map, plan, src) = setup(80);
         let scalar = correct(&src, &map, Interpolator::Bilinear);
-        let simd = correct_bilinear_simd(&src, &plan);
-        assert_eq!(scalar, simd);
+        assert_eq!(scalar, simd(&src, &plan));
     }
 
     #[test]
@@ -187,8 +177,7 @@ mod tests {
         for w in [77u32, 78, 79, 81] {
             let (map, plan, src) = setup(w);
             let scalar = correct(&src, &map, Interpolator::Bilinear);
-            let simd = correct_bilinear_simd(&src, &plan);
-            assert_eq!(scalar, simd, "width {w}");
+            assert_eq!(scalar, simd(&src, &plan), "width {w}");
         }
     }
 
@@ -202,27 +191,10 @@ mod tests {
         let plan = RemapPlan::compile(&map, PlanOptions::default());
         assert!(plan.invalid_pixels() > 0);
         let src = pixmap::Image::filled(160, 120, GrayF32(1.0));
-        let out = correct_bilinear_simd(&src, &plan);
+        let out = simd(&src, &plan);
         assert_eq!(out.pixel(0, 0), GrayF32(0.0));
         assert_eq!(out.pixel(40, 30), GrayF32(1.0));
         // and it still matches the branchy scalar reference exactly
         assert_eq!(out, correct(&src, &map, Interpolator::Bilinear));
-    }
-
-    #[test]
-    fn gray8_wrapper_close_to_direct_path() {
-        let (map, plan, _) = setup(80);
-        let src8 = pixmap::scene::random_gray(160, 120, 3);
-        let a = correct_bilinear_simd_gray8(&src8, &plan);
-        let b = correct(&src8, &map, Interpolator::Bilinear);
-        // the u8 path quantizes at a different point; within 1 LSB
-        let max = a
-            .pixels()
-            .iter()
-            .zip(b.pixels())
-            .map(|(x, y)| (x.0 as i32 - y.0 as i32).abs())
-            .max()
-            .unwrap();
-        assert!(max <= 1, "max diff {max}");
     }
 }

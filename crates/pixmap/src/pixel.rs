@@ -104,6 +104,19 @@ impl RgbF32 {
     }
 }
 
+/// `v as f32 / 255.0` for every byte, evaluated once at compile time
+/// with the same IEEE division: samplers read each byte tap as a load
+/// instead of a division per tap.
+static UNIT_U8: [f32; 256] = {
+    let mut t = [0f32; 256];
+    let mut v = 0;
+    while v < 256 {
+        t[v] = v as f32 / 255.0;
+        v += 1;
+    }
+    t
+};
+
 impl Pixel for Gray8 {
     const CHANNELS: usize = 1;
     const BLACK: Self = Gray8(0);
@@ -112,7 +125,7 @@ impl Pixel for Gray8 {
 
     #[inline]
     fn channel_f32(&self, _c: usize) -> f32 {
-        self.0 as f32 / 255.0
+        UNIT_U8[self.0 as usize]
     }
 
     #[inline]
@@ -310,6 +323,14 @@ impl From<Rgb8> for Gray8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gray8_channel_table_is_the_division() {
+        for v in 0..=255u8 {
+            let want = v as f32 / 255.0;
+            assert_eq!(Gray8(v).channel_f32(0).to_bits(), want.to_bits(), "{v}");
+        }
+    }
 
     #[test]
     fn quantize_u8_rounds_and_clamps() {

@@ -257,7 +257,7 @@ pub fn run_pipeline(
                     while let Some(frame) = q_in.pop() {
                         let mut image = pool.acquire();
                         let report =
-                            execute_host(&spec, interp, &frame.image, plan, &env, &mut image)
+                            execute_host(&spec, interp, &frame.image, plan, None, &env, &mut image)
                                 .expect("engine validated before workers started");
                         let done = CorrectedFrame {
                             seq: frame.seq,

@@ -1236,6 +1236,8 @@ mod tests {
             EngineSpec::Smp {
                 schedule: Schedule::Static { chunk: None },
             },
+            EngineSpec::Simd,
+            EngineSpec::FixedPoint { frac_bits: 12 },
         ] {
             let c = Corrector::<Gray8>::builder()
                 .lens(lens)
@@ -1248,10 +1250,12 @@ mod tests {
             let (out, report) = c.correct(&src).unwrap();
             // fused on host backends
             assert_eq!(report.model.get("fused"), Some(&1.0), "{spec:?}");
-            // reference: plain correction then the per-pixel transfer
+            // reference: plain correction on the same backend, then
+            // the per-pixel transfer
             let plain = Corrector::<Gray8>::builder()
                 .lens(lens)
                 .view(view)
+                .backend(spec)
                 .build()
                 .unwrap();
             let (mut reference, _) = plain.correct(&src).unwrap();

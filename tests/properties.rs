@@ -231,6 +231,7 @@ fn fused_post_always_matches_two_pass() {
                 schedule: Schedule::Static { chunk: None },
             },
             EngineSpec::Simd,
+            EngineSpec::FixedPoint { frac_bits: 12 },
         ];
         let threads = g.usize_in(1, 5);
         for spec in specs {
