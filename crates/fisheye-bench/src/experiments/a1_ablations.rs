@@ -1,17 +1,23 @@
 //! A1 — ablation studies of the implementation's design choices.
 //!
 //! Four decisions DESIGN.md bakes into `fisheye-core`, each measured
-//! against its alternative on the same frame:
+//! against its alternative on the same frame, with what each variant
+//! stores per output pixel (`plan_bytes_per_px`) next to what it
+//! costs per frame (`ns_per_px`) — the stored-vs-recomputed axis of
+//! the LUT design space:
 //!
 //! 1. **LUT layout** — interleaved `MapEntry { sx, sy }` (AoS) vs two
-//!    separate coordinate planes (SoA). For a *branchy* per-pixel
-//!    gather AoS tends to win because both coordinates of one pixel
-//!    are consumed together; the compiled plan stores SoA anyway
-//!    because span execution consumes the planes sequentially.
-//! 2. **Validity handling** — per-pixel `is_valid()` branching vs the
-//!    plan's per-row valid-span runs (`plan_span_soa`: branch-free
-//!    inner loop over precomputed contiguous runs, gaps filled black
-//!    up front). This is the execution path every engine now uses.
+//!    separate coordinate planes (SoA). Both coordinates of one pixel
+//!    are consumed together, so the layouts measure at parity; the
+//!    compiled plan keeps the AoS map and stores no SoA copy of it.
+//! 2. **Validity handling and the corner plane** — per-pixel
+//!    `is_valid()` branching vs the plan's per-row valid-span runs
+//!    (`plan_span_corner`: branch-free inner loop over precomputed
+//!    contiguous runs, gaps filled black). Inside the runs the plan's
+//!    4 B/px corner plane stores each interior pixel's clamp-free
+//!    top-left texel, so bilinear does no `floor` and no clamp per
+//!    frame: 12 B/px in place of the 8 B/px map that recomputes both.
+//!    This is the float path every host engine runs.
 //! 3. **Output traversal** — row-major vs 32×32-tiled iteration on the
 //!    host. Tiling helps caches only when the *source* working set per
 //!    tile shrinks enough to matter; measuring keeps us honest.
@@ -27,6 +33,10 @@ use pixmap::{Gray8, Image};
 use crate::table::{f2, Table};
 use crate::workloads::{default_resolution, random_workload, time_median};
 use crate::Scale;
+
+/// Stored bytes per output pixel of a variant that keeps only the
+/// float map and recomputes corners and weights every frame.
+const MAP_BYTES_PER_PX: f64 = std::mem::size_of::<fisheye_core::MapEntry>() as f64;
 
 /// SoA variant of the LUT: two parallel coordinate planes.
 struct SoaMap {
@@ -130,52 +140,64 @@ pub fn run(scale: Scale) -> Table {
 
     let mut table = Table::new(
         format!("A1 — implementation ablations ({})", res.name),
-        &["variant", "ms_per_frame", "ns_per_px", "vs_baseline"],
+        &[
+            "variant",
+            "ms_per_frame",
+            "ns_per_px",
+            "vs_baseline",
+            "plan_bytes_per_px",
+        ],
     );
     let baseline = time_median(reps, || {
         std::hint::black_box(correct(&w.frame, &w.map, Interpolator::Bilinear));
     });
-    let mut add = |name: &str, t: f64| {
+    let mut add = |name: &str, t: f64, bytes_per_px: f64| {
         table.row(vec![
             name.to_string(),
             f2(t * 1e3),
             f2(t * 1e9 / px),
             f2(t / baseline),
+            f2(bytes_per_px),
         ]);
     };
-    add("aos_lut_branchy (baseline)", baseline);
+    add("aos_lut_branchy (baseline)", baseline, MAP_BYTES_PER_PX);
     add(
         "soa_lut_branchy",
         time_median(reps, || {
             std::hint::black_box(correct_soa(&w.frame, &soa));
         }),
+        MAP_BYTES_PER_PX,
     );
     add(
-        "plan_span_soa",
+        "plan_span_corner",
         time_median(reps, || {
             std::hint::black_box(correct_plan(&w.frame, &plan, Interpolator::Bilinear));
         }),
+        plan.bytes() as f64 / px,
     );
     add(
         "tiled_traversal_32",
         time_median(reps, || {
             std::hint::black_box(correct_tiled(&w.frame, &w.map, 32));
         }),
+        MAP_BYTES_PER_PX,
     );
     add(
         "fixed_precomputed_weights",
         time_median(reps, || {
             std::hint::black_box(correct_fixed(&w.frame, &fmap));
         }),
+        fmap.bytes() as f64 / px,
     );
     add(
         "fixed_recomputed_weights",
         time_median(reps, || {
             std::hint::black_box(correct_fixed_recompute(&w.frame, &w.map, 12));
         }),
+        MAP_BYTES_PER_PX,
     );
     table.note("all variants verified to produce equivalent output before timing");
-    table.note("expected shape: span/SoA plan ≥ branchy AoS (no per-pixel validity test); tiling ~neutral on the host; precomputed weights beat recompute");
+    table.note("expected shape: the span/corner plan beats branchy AoS (no per-pixel validity test, floor or clamp) for 4 more B/px; tiling ~neutral on the host; precomputed weights beat recompute");
     table
 }
 
@@ -219,5 +241,15 @@ mod tests {
             let ns: f64 = r[2].parse().unwrap();
             assert!(ns > 0.0);
         }
+        // the memory axis: the map alone, the map plus corners (and a
+        // few spans), the fixed LUT
+        let bytes = |name: &str| -> f64 {
+            let r = t.rows.iter().find(|r| r[0].starts_with(name)).unwrap();
+            r[4].parse().unwrap()
+        };
+        assert_eq!(bytes("aos_lut_branchy"), 8.0);
+        let corner = bytes("plan_span_corner");
+        assert!((12.0..12.5).contains(&corner), "corner plan {corner} B/px");
+        assert_eq!(bytes("fixed_precomputed_weights"), 8.0);
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's accelerator ports treat the remap table as the artifact
 //! that crosses the host/device boundary. A compiled
 //! [`RemapPlan`] already *is* that
-//! accelerator-friendly form — SoA coordinate planes, span RLE,
+//! accelerator-friendly form — the coordinate map, span RLE,
 //! prequantized LUTs, tile plans — so this crate closes the loop and
 //! lowers it to executable kernel source:
 //!

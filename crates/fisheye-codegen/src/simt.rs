@@ -368,7 +368,10 @@ impl SimtEngine {
             post,
             out,
             counters,
-            |x, y| (plan.row_sx(y)[x as usize], plan.row_sy(y)[x as usize]),
+            |x, y| {
+                let e = plan.map().row(y)[x as usize];
+                (e.sx, e.sy)
+            },
             |&(sx, _)| sx.is_finite(),
             |&(sx, sy)| {
                 (

@@ -25,8 +25,9 @@
 //! [`execute_host`](crate::engine::execute_host): the segment program
 //! is the general row program of the one span walker
 //! ([`crate::walk`]), so serial, smp, simd and fixed run the same walk
-//! as a single plan with their own sampler (reusing the per-source SoA
-//! planes and fixed LUTs), the post stage fused into the traversal.
+//! as a single plan with their own sampler (reusing the per-source map
+//! and corner rows and fixed LUTs), the post stage fused into the
+//! traversal.
 //! Every backend is bit-exact against
 //! [`compose_layers`] applied to per-camera corrections from the
 //! matching single-plan backend — the "two-pass" reference the
@@ -58,7 +59,7 @@ use crate::interp::Interpolator;
 use crate::map::{MapEntry, RemapMap};
 use crate::plan::{correct_plan, Fnv, PlanOptions, RemapPlan};
 use crate::post::{PostPixel, PostPlan, PostStage};
-use crate::walk::{Program, Sampler, Seg, Sources};
+use crate::walk::{NoPost, PostOp, Program, Sampler, Seg, Sources};
 
 // ---------------------------------------------------------------------
 // Geometry tracing
@@ -693,6 +694,10 @@ impl CompositePixel for GrayF32 {
     }
 }
 
+/// Blend-run pixels gathered per pass over the sources: small enough
+/// for the taps and accumulators to stay on the stack.
+const BLEND_CHUNK: usize = 64;
+
 /// The composite's segment program is the general row program of the
 /// span walker: exclusive runs sample one source, blend runs mix every
 /// source with a nonzero quantized weight (a nonzero weight implies
@@ -703,17 +708,39 @@ impl<P: CompositePixel> Program<P> for CompositePlan {
         self.row_segs(y).iter().copied()
     }
 
-    #[inline]
-    fn blend<S: Sampler<P>>(&self, sampler: &S, y: u32, x: usize, woff: usize, i: usize) -> P {
+    /// Source by source over chunks of the run, each chunk gathered by
+    /// the sampler's span kernel. A source may be invalid where its
+    /// weight is 0; sampling it there is harmless (an invalid entry
+    /// samples a clamped border texel) and the tap is never used.
+    /// Every pixel sums its sources in source order, exactly as
+    /// [`compose_layers`] does.
+    fn blend_run<S: Sampler<P>, Q: PostOp<P>>(
+        &self,
+        sampler: &S,
+        post: &Q,
+        (start, y): (usize, u32),
+        woff: usize,
+        out: &mut [P],
+    ) {
         let n = self.sources.len();
-        let at = woff + i * n;
-        let mut acc = P::acc_zero();
-        for (source, &q) in self.weights[at..at + n].iter().enumerate() {
-            if q > 0 {
-                P::acc_add(&mut acc, sampler.pixel(source, y, x), q);
+        let mut taps = [P::BLACK; BLEND_CHUNK];
+        for (c, chunk) in out.chunks_mut(BLEND_CHUNK).enumerate() {
+            let first = start + c * BLEND_CHUNK;
+            let weights = &self.weights[woff + c * BLEND_CHUNK * n..][..chunk.len() * n];
+            let taps = &mut taps[..chunk.len()];
+            let mut acc = [P::acc_zero(); BLEND_CHUNK];
+            for source in 0..n {
+                sampler.span(source, y, first, taps, &NoPost);
+                for ((a, w), &v) in acc.iter_mut().zip(weights.chunks_exact(n)).zip(&*taps) {
+                    if w[source] > 0 {
+                        P::acc_add(a, v, w[source]);
+                    }
+                }
+            }
+            for (i, (o, a)) in chunk.iter_mut().zip(acc).enumerate() {
+                *o = post.apply(P::acc_finish(a), first + i, y);
             }
         }
-        P::acc_finish(acc)
     }
 }
 
@@ -842,8 +869,8 @@ fn check_composite_dims<P: Pixel>(
 /// of [`execute_host`](crate::engine::execute_host), sharing its spec
 /// resolution, report conventions and span walker: serial, smp, simd
 /// and fixed walk the segment program with their sampler (the
-/// per-source SoA planes, or the per-source fixed LUTs) and fuse the
-/// post stage into the traversal (`fused=1`). `direct` and the
+/// per-source map and corner rows, or the per-source fixed LUTs) and
+/// fuse the post stage into the traversal (`fused=1`). `direct` and the
 /// accelerator specs (cell/gpu/simt) are `Unsupported`: in particular
 /// the SIMT kernel ISA has no multi-source gather operand, so
 /// composites stay on host backends.

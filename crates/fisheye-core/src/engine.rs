@@ -15,11 +15,12 @@
 //! implemented here, as one boxed host engine over one dispatcher
 //! ([`execute_host`]): every plan-walking host spec runs the same span
 //! walker ([`crate::walk`]) and differs only in its span sampler
-//! (scalar, 4-lane or fixed-point LUT), with the post stage fused
-//! into the walk. The accelerator models (`cell` in `cellsim`,
-//! `gpu` in `gpusim`) implement [`CorrectionEngine`] in their own
-//! crates, and the `fisheye` facade crate's `engine` module resolves
-//! *any* spec to a boxed engine. Adding the next backend means
+//! (float over the plan's map and corner rows, or fixed-point LUT),
+//! with the post stage fused into the walk. The accelerator models
+//! (`cell` in `cellsim`, `gpu` in `gpusim`) implement
+//! [`CorrectionEngine`] in their own crates, and the `fisheye` facade
+//! crate's `engine` module resolves *any* spec to a boxed engine.
+//! Adding the next backend means
 //! implementing the trait in one file and registering its spec — no
 //! consumer changes.
 
@@ -36,8 +37,9 @@ use crate::interp::{sample_bilinear_fixed_gray8, Interpolator};
 use crate::map::FixedMapEntry;
 use crate::plan::RemapPlan;
 use crate::post::{PostPixel, PostPlan};
-use crate::simd::{self, Lanes};
-use crate::walk::{walk_frame, walk_scalar, Fixed, Lut, NoPost, PostOp, Program, Sources};
+use crate::walk::{
+    walk_frame, walk_scalar, Fixed, Lut, NoPost, PostOp, Program, Sources, TablePost,
+};
 
 /// Default fractional weight bits for the quantized (fixed-point)
 /// paths — the accuracy knee of experiment F7.
@@ -205,7 +207,8 @@ pub enum EngineSpec {
         /// Fractional weight bits.
         frac_bits: u32,
     },
-    /// 4-lane SoA bilinear kernel (`simd`). Bilinear only.
+    /// The plan's corner bilinear sampler (`simd`) on the single
+    /// channel types. Bilinear only.
     Simd,
     /// Cell/B.E. tiled local-store model (`cell`, `cell:64x32`,
     /// `cell:32x16:single`, `cell:q10`). Implemented in `cellsim`.
@@ -270,8 +273,7 @@ pub struct Capabilities {
     /// `direct`, which recomputes the projection per pixel).
     pub uses_plan: bool,
     /// The engine implements exactly one interpolator; requesting any
-    /// other is a build error (the `simd` SoA kernel is bilinear
-    /// only).
+    /// other is a build error (`simd` is bilinear only).
     pub interp_locked: Option<Interpolator>,
 }
 
@@ -694,14 +696,14 @@ pub fn post_pass<P: EnginePixel>(
 }
 
 /// Pixel types the engine layer can route: the scalar samplers work
-/// for every [`Pixel`], while the integer, 4-lane and post datapaths
+/// for every [`Pixel`], while the integer, `simd` and post datapaths
 /// exist only for specific types. The capability flags let builders
 /// reject unsupported (spec, pixel) pairs up front; the per-pixel hooks
 /// below only ever run behind them.
 pub trait EnginePixel: Pixel {
     /// An integer (quantized-LUT) datapath exists for this type.
     const HAS_FIXED: bool = false;
-    /// The 4-lane SoA bilinear sampler exists for this type.
+    /// The `simd` backend is offered for this type.
     const HAS_SIMD: bool = false;
     /// The post-correction color stage exists for this type.
     const HAS_POST: bool = false;
@@ -718,6 +720,14 @@ pub trait EnginePixel: Pixel {
     /// [`EnginePixel::HAS_POST`]; the default is the identity.
     fn post_pixel(self, _post: &PostPlan, _x: u32, _y: u32) -> Self {
         self
+    }
+
+    /// [`EnginePixel::post_pixel`] for a plan without dither, which
+    /// makes the result independent of the pixel's position. Called
+    /// only behind [`EnginePixel::HAS_POST`] and `post.dither()` being
+    /// `None`; the default defers to `post_pixel`.
+    fn post_table(self, post: &PostPlan) -> Self {
+        self.post_pixel(post, 0, 0)
     }
 
     /// Apply the post stage over an already-corrected row (the
@@ -739,6 +749,11 @@ impl EnginePixel for Gray8 {
     #[inline(always)]
     fn post_pixel(self, post: &PostPlan, x: u32, y: u32) -> Self {
         PostPixel::post(self, post, x, y)
+    }
+
+    #[inline(always)]
+    fn post_table(self, post: &PostPlan) -> Self {
+        Gray8(post.table_u8()[self.0 as usize])
     }
 
     fn post_row(row: &mut [Self], y: u32, post: &PostPlan) {
@@ -814,10 +829,8 @@ fn check_frame_dims<P: Pixel>(
 /// The span sampler a host spec runs its row program with.
 #[derive(Clone, Copy)]
 enum HostSampler {
-    /// `serial`/`smp`: the interpolator's scalar kernel.
+    /// `serial`/`smp`/`simd`: the interpolator's float kernel.
     Scalar(Interpolator),
-    /// `simd`: the 4-lane bilinear kernel.
-    Lanes,
     /// `fixed`: integer bilinear through quantized LUTs of this width.
     Fixed(u32),
 }
@@ -833,7 +846,7 @@ pub(crate) struct HostRoute<'e> {
 }
 
 impl<'e> HostRoute<'e> {
-    /// Resolve `spec` for pixel type `P`: the 4-lane and integer
+    /// Resolve `spec` for pixel type `P`: the `simd` and integer
     /// datapaths exist only where `P` has them, `simd` is bilinear
     /// only, and `smp` needs a pool. `direct` (no plan to walk) and
     /// the accelerator models resolve to [`EngineError::Unsupported`].
@@ -851,7 +864,7 @@ impl<'e> HostRoute<'e> {
                 None => return unsupported("smp needs a thread pool (HostEnv::pool)".into()),
             },
             EngineSpec::Simd if !P::HAS_SIMD => {
-                return unsupported("no SoA kernel for this pixel type".into())
+                return unsupported("simd is offered for single-channel types only".into())
             }
             EngineSpec::Simd if interp != Interpolator::Bilinear => {
                 return unsupported(format!(
@@ -859,7 +872,7 @@ impl<'e> HostRoute<'e> {
                     interp.name()
                 ))
             }
-            EngineSpec::Simd => (HostSampler::Lanes, None),
+            EngineSpec::Simd => (HostSampler::Scalar(Interpolator::Bilinear), None),
             EngineSpec::FixedPoint { .. } if !P::HAS_FIXED => {
                 return unsupported("no integer datapath for this pixel type".into())
             }
@@ -923,8 +936,12 @@ impl<'e> HostRoute<'e> {
             report.kv("frac_bits", frac_bits as f64);
         }
         let t0 = Instant::now();
+        // what the post stage does is resolved here, once per frame
         match post {
             None => self.walk(program, sources, &luts, &NoPost, out),
+            Some(pp) if pp.dither().is_none() => {
+                self.walk(program, sources, &luts, &TablePost(pp), out)
+            }
             Some(pp) => self.walk(program, sources, &luts, pp, out),
         }
         report.correct_time = t0.elapsed();
@@ -933,9 +950,6 @@ impl<'e> HostRoute<'e> {
         }
         if let Some((pool, _)) = self.pool {
             report.kv("threads", pool.threads() as f64);
-        }
-        if let HostSampler::Lanes = self.sampler {
-            report.kv("lanes", simd::LANES as f64);
         }
         report
     }
@@ -958,7 +972,6 @@ impl<'e> HostRoute<'e> {
             HostSampler::Scalar(interp) => {
                 walk_scalar(program, sources, interp, post, self.pool, out)
             }
-            HostSampler::Lanes => walk_frame(program, &Lanes { sources }, post, self.pool, out),
             HostSampler::Fixed(frac_bits) => {
                 let sampler = Fixed {
                     frames: sources.frames,
@@ -1312,8 +1325,8 @@ mod tests {
 
     #[test]
     fn host_engines_match_serial_reference_gray8() {
-        // widths off the 4-lane grid run every scalar tail of the simd
-        // sampler; every backend must stay byte-equal to its reference
+        // odd and even widths, on and off any 4-pixel grid: every
+        // backend must stay byte-equal to its reference
         let (lens, _, _, src) = workload();
         for out_w in [80u32, 77, 78, 79, 81] {
             let view = PerspectiveView::centered(out_w, 60, 90.0);

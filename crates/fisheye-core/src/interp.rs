@@ -7,6 +7,9 @@
 
 use pixmap::{Gray8, Image, Pixel};
 
+use crate::map::MapEntry;
+use crate::plan::Corner;
+
 /// The interpolation kernels the paper's implementations choose from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Interpolator {
@@ -81,10 +84,44 @@ pub fn sample_bilinear<P: Pixel>(img: &Image<P>, sx: f32, sy: f32) -> P {
     let wy = fy - y0;
     let x0 = x0 as i64;
     let y0 = y0 as i64;
-    let p00 = img.pixel_clamped(x0, y0);
-    let p10 = img.pixel_clamped(x0 + 1, y0);
-    let p01 = img.pixel_clamped(x0, y0 + 1);
-    let p11 = img.pixel_clamped(x0 + 1, y0 + 1);
+    let taps = [
+        img.pixel_clamped(x0, y0),
+        img.pixel_clamped(x0 + 1, y0),
+        img.pixel_clamped(x0, y0 + 1),
+        img.pixel_clamped(x0 + 1, y0 + 1),
+    ];
+    blend_bilinear(taps, wx, wy)
+}
+
+/// Bilinear sample of map entry `e` through its compiled [`Corner`]:
+/// the float sampler every host backend runs over a plan. An interior
+/// corner is `floor(s − 0.5)` on both axes, exact in `f32`, so the
+/// weights `(s − 0.5) − corner` and the four taps — loaded unclamped
+/// at `y·w + x` — are exactly those [`sample_bilinear`] derives with
+/// `floor` and clamps; both end in the same blend, so the result is
+/// bit-identical by construction. [`Corner::EDGE`] entries take
+/// [`sample_bilinear`] itself.
+///
+/// `img` must have the dimensions the corner was compiled for, which
+/// every plan executor checks before it walks.
+#[inline(always)]
+pub(crate) fn sample_bilinear_corner<P: Pixel>(img: &Image<P>, e: MapEntry, c: Corner) -> P {
+    if c == Corner::EDGE {
+        return sample_bilinear(img, e.sx, e.sy);
+    }
+    let (x, y) = (c.x as usize, c.y as usize);
+    let wx = (e.sx - 0.5) - x as f32;
+    let wy = (e.sy - 0.5) - y as f32;
+    let w = img.width() as usize;
+    // one bounds check covers both tap rows
+    let quad = &img.pixels()[y * w + x..][..w + 2];
+    blend_bilinear([quad[0], quad[1], quad[w], quad[w + 1]], wx, wy)
+}
+
+/// The blend both bilinear samplers end in: taps `[p00, p10, p01,
+/// p11]`, horizontal lerps, then the vertical one.
+#[inline(always)]
+fn blend_bilinear<P: Pixel>([p00, p10, p01, p11]: [P; 4], wx: f32, wy: f32) -> P {
     let mut ch = [0f32; 4];
     debug_assert!(P::CHANNELS <= 4);
     for (c, out) in ch.iter_mut().enumerate().take(P::CHANNELS) {

@@ -24,9 +24,9 @@
 //!   frames all experiments consume (substitute for the paper's
 //!   camera; DESIGN.md §6).
 //! * [`plan`] — the compile/execute split: [`RemapPlan`] turns a
-//!   [`RemapMap`] into an immutable execution artifact (SoA coordinate
-//!   planes, per-row valid spans, prequantized fixed-point LUTs, tile
-//!   plans) that every engine consumes (DESIGN.md §2.2).
+//!   [`RemapMap`] into an immutable execution artifact (the bilinear
+//!   corner plane, per-row valid spans, prequantized fixed-point LUTs,
+//!   tile plans) that every engine consumes (DESIGN.md §2.2).
 //! * [`pipeline`] — ties it together with per-phase timing, plan
 //!   caching, pooled output frames, and the direct (no-LUT) mode for
 //!   the F9 crossover experiment.

@@ -59,7 +59,7 @@ pub struct PipelineStats {
     /// Total time spent building LUTs.
     pub map_time: Duration,
     /// Total time spent compiling plans from built LUTs (span
-    /// indexing, SoA extraction, fixed-point quantization). Like
+    /// indexing, corner derivation, fixed-point quantization). Like
     /// `map_time` this is per-view work, not per-frame work.
     pub plan_time: Duration,
     /// Frames corrected.

@@ -10,9 +10,17 @@
 //! pixel of every frame. [`RemapPlan::compile`] moves all of it into
 //! one immutable artifact:
 //!
-//! * **SoA coordinate planes** — separate `sx`/`sy` `f32` arrays, so
-//!   span kernels stream coordinates without loading interleaved
-//!   `MapEntry` pairs they immediately split apart.
+//! * **The bilinear corner plane** — one 4-byte [`Corner`] per output
+//!   pixel: the top-left source texel of the pixel's 2×2 bilinear
+//!   footprint when all four taps lie inside the source, or
+//!   [`Corner::EDGE`] when the footprint touches or crosses a border.
+//!   The float bilinear sampler reads `(MapEntry, Corner)` per pixel,
+//!   so an interior pixel costs two subtractions for its weights and
+//!   four unclamped loads — no `floor`, no clamp, no saturating cast
+//!   per frame — while `EDGE` pixels take the clamping
+//!   [`crate::interp::sample_bilinear`]. Either way the output is
+//!   bit-identical with it (see `interp::sample_bilinear_corner`).
+//!   With the map's 8 B/px the plan stores 12 B/px plus spans.
 //! * **Per-row valid spans** — run-length encoding of the contiguous
 //!   valid regions of each row. Engines iterate spans and fill the
 //!   gaps black, eliminating the per-pixel `is_valid()` branch from
@@ -22,9 +30,10 @@
 //!   caller requests ([`PlanOptions::frac_bits`]).
 //! * **Tile plans** with source footprints for every requested tile
 //!   geometry ([`PlanOptions::tiles`]) — what the Cell model DMAs.
-//! * The original [`RemapMap`] itself, for consumers that need the
-//!   AoS view (the GPU cache model replays entry order; `direct`
-//!   comparisons read it for reference).
+//! * The original [`RemapMap`] itself: the coordinates every float
+//!   sampler reads (bilinear next to the corner plane, nearest and
+//!   bicubic alone), and the entry order the GPU cache model and the
+//!   SIMT interpreter replay.
 //!
 //! Execution contract: every [`crate::engine::CorrectionEngine`]
 //! consumes `&RemapPlan`. Whoever owns the view owns the plan —
@@ -37,7 +46,8 @@
 //! compiled path the fast one. Every host backend executes a plan
 //! through the one span walker in [`crate::walk`]: the valid spans
 //! are the row program, and the backend only picks the span sampler
-//! (scalar, 4-lane or fixed-point LUT).
+//! (the float kernels over map and corner rows, or the fixed-point
+//! LUT).
 //!
 //! Compilation is deterministic: the same map and options produce a
 //! byte-identical plan (see [`RemapPlan::digest`]), which is what
@@ -51,12 +61,12 @@ use pixmap::{Image, Pixel};
 
 use crate::engine::EngineSpec;
 use crate::interp::Interpolator;
-use crate::map::{FixedRemapMap, RemapMap};
+use crate::map::{FixedRemapMap, MapEntry, RemapMap};
 use crate::tile::TilePlan;
 use crate::walk::{walk_scalar, Lut, NoPost, Sources};
 
-/// What [`RemapPlan::compile`] should prederive beyond the SoA planes
-/// and valid spans (which are always built).
+/// What [`RemapPlan::compile`] should prederive beyond the corner
+/// plane and valid spans (which are always built).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanOptions {
     /// Fractional weight widths to prequantize ([`RemapPlan::fixed`]).
@@ -196,6 +206,53 @@ impl ValidSpan {
     }
 }
 
+/// The top-left source texel of one output pixel's bilinear
+/// footprint, precomputed so the per-frame sampler needs no `floor`
+/// and no clamp. An entry is interior when `0 ≤ s − 0.5 < dim − 1`
+/// on both axes: there `floor == trunc` and all four taps
+/// `(x..=x+1, y..=y+1)` are inside the source. Every other entry —
+/// invalid, clamping at any of the four borders, or in a source
+/// wider or taller than `u16::MAX` — is [`Corner::EDGE`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Corner {
+    /// Left tap column.
+    pub x: u16,
+    /// Top tap row.
+    pub y: u16,
+}
+
+impl Corner {
+    /// The marker for a footprint the sampler must clamp: never an
+    /// interior corner, whose `x + 1` and `y + 1` fit in `u16`.
+    pub const EDGE: Corner = Corner {
+        x: u16::MAX,
+        y: u16::MAX,
+    };
+
+    /// The corner of map entry `e` in a `src_w × src_h` source.
+    #[inline]
+    pub fn of(e: MapEntry, (src_w, src_h): (u32, u32)) -> Corner {
+        let fx = e.sx - 0.5;
+        let fy = e.sy - 0.5;
+        // NaN (invalid) fails every comparison; dimensions up to
+        // u16::MAX convert to f32 exactly
+        let interior = src_w <= u16::MAX as u32
+            && src_h <= u16::MAX as u32
+            && fx >= 0.0
+            && fx < src_w.saturating_sub(1) as f32
+            && fy >= 0.0
+            && fy < src_h.saturating_sub(1) as f32;
+        if interior {
+            Corner {
+                x: fx as u16,
+                y: fy as u16,
+            }
+        } else {
+            Corner::EDGE
+        }
+    }
+}
+
 /// The compiled, immutable execution artifact for one remap map. See
 /// the module docs for the compile/execute contract.
 ///
@@ -211,8 +268,7 @@ impl ValidSpan {
 /// materialized still hash identically.
 pub struct RemapPlan {
     map: RemapMap,
-    sx: Vec<f32>,
-    sy: Vec<f32>,
+    corners: Vec<Corner>,
     spans: Vec<ValidSpan>,
     /// `row_offsets[y]..row_offsets[y+1]` indexes `spans` for row `y`.
     row_offsets: Vec<u32>,
@@ -237,8 +293,7 @@ impl Clone for RemapPlan {
     fn clone(&self) -> Self {
         RemapPlan {
             map: self.map.clone(),
-            sx: self.sx.clone(),
-            sy: self.sy.clone(),
+            corners: self.corners.clone(),
             spans: self.spans.clone(),
             row_offsets: self.row_offsets.clone(),
             invalid_pixels: self.invalid_pixels,
@@ -307,8 +362,8 @@ fn rows_bit_equal(a: &[crate::map::MapEntry], b: &[crate::map::MapEntry]) -> boo
 }
 
 impl RemapPlan {
-    /// Compile `map` into an execution plan. Always builds the SoA
-    /// planes and valid-span index; additionally prequantizes one
+    /// Compile `map` into an execution plan. Always builds the corner
+    /// plane and valid-span index; additionally prequantizes one
     /// fixed-point LUT per requested `frac_bits` and one tile plan per
     /// requested geometry.
     ///
@@ -323,8 +378,8 @@ impl RemapPlan {
     /// LUTs and tile plans are left to on-demand derivation).
     fn build_plan(map: RemapMap, opts: PlanOptions, eager: bool) -> RemapPlan {
         let entries = map.entries();
-        let mut sx = Vec::with_capacity(entries.len());
-        let mut sy = Vec::with_capacity(entries.len());
+        let src = map.src_dims();
+        let mut corners = Vec::with_capacity(entries.len());
         let w = map.width() as usize;
         let h = map.height() as usize;
         let mut spans = Vec::new();
@@ -332,12 +387,11 @@ impl RemapPlan {
         row_offsets.push(0u32);
         let mut row_digests = Vec::with_capacity(h);
         let mut invalid = 0u64;
-        // one streaming pass: each row is split into the SoA planes
-        // and scanned while it is still hot in cache
+        // one streaming pass: each row's corners are derived and its
+        // spans scanned while it is still hot in cache
         for y in 0..h {
             let row = &entries[y * w..][..w];
-            sx.extend(row.iter().map(|e| e.sx));
-            sy.extend(row.iter().map(|e| e.sy));
+            corners.extend(row.iter().map(|&e| Corner::of(e, src)));
             let (inv, rd) = scan_row(row, &mut spans);
             invalid += inv;
             row_digests.push(rd);
@@ -357,8 +411,7 @@ impl RemapPlan {
         let digest = Self::digest_of(&map, &row_digests, invalid, &opts);
         RemapPlan {
             map,
-            sx,
-            sy,
+            corners,
             spans,
             row_offsets,
             invalid_pixels: invalid,
@@ -376,8 +429,8 @@ impl RemapPlan {
     /// the cheap path behind an interactive view change.
     ///
     /// Rows whose coordinates are bit-identical to the previous map
-    /// reuse their span index and row digest; changed rows are
-    /// rescanned. Quantized LUTs and tile plans are *not* eagerly
+    /// reuse their corners, span index and row digest; changed rows
+    /// are rescanned. Quantized LUTs and tile plans are *not* eagerly
     /// rebuilt — a backend that needs one derives and memoizes it on
     /// first use (reported as a plan miss). The result is bit-exact
     /// against `RemapPlan::compile(&map, self.opts())` — same
@@ -393,8 +446,8 @@ impl RemapPlan {
         }
         let entries = map.entries();
         let old = self.map.entries();
-        let mut sx = Vec::with_capacity(entries.len());
-        let mut sy = Vec::with_capacity(entries.len());
+        let src = map.src_dims();
+        let mut corners = Vec::with_capacity(entries.len());
         let w = map.width() as usize;
         let h = map.height() as usize;
         let mut spans = Vec::with_capacity(self.spans.len());
@@ -406,9 +459,8 @@ impl RemapPlan {
         // check against the previous map while the row is cache-hot
         for y in 0..h {
             let row = &entries[y * w..][..w];
-            sx.extend(row.iter().map(|e| e.sx));
-            sy.extend(row.iter().map(|e| e.sy));
             if rows_bit_equal(row, &old[y * w..][..w]) {
+                corners.extend_from_slice(&self.corners[y * w..][..w]);
                 let a = self.row_offsets[y] as usize;
                 let b = self.row_offsets[y + 1] as usize;
                 let reused = &self.spans[a..b];
@@ -416,6 +468,7 @@ impl RemapPlan {
                 spans.extend_from_slice(reused);
                 row_digests.push(self.row_digests[y]);
             } else {
+                corners.extend(row.iter().map(|&e| Corner::of(e, src)));
                 let (inv, rd) = scan_row(row, &mut spans);
                 invalid += inv;
                 row_digests.push(rd);
@@ -425,8 +478,7 @@ impl RemapPlan {
         let digest = Self::digest_of(&map, &row_digests, invalid, &self.opts);
         RemapPlan {
             map,
-            sx,
-            sy,
+            corners,
             spans,
             row_offsets,
             invalid_pixels: invalid,
@@ -470,18 +522,11 @@ impl RemapPlan {
         self.opts.interp
     }
 
-    /// Row `y` of the SoA x-coordinate plane.
+    /// Row `y` of the bilinear corner plane.
     #[inline]
-    pub fn row_sx(&self, y: u32) -> &[f32] {
+    pub fn row_corners(&self, y: u32) -> &[Corner] {
         let w = self.map.width() as usize;
-        &self.sx[(y as usize) * w..][..w]
-    }
-
-    /// Row `y` of the SoA y-coordinate plane.
-    #[inline]
-    pub fn row_sy(&self, y: u32) -> &[f32] {
-        let w = self.map.width() as usize;
-        &self.sy[(y as usize) * w..][..w]
+        &self.corners[(y as usize) * w..][..w]
     }
 
     /// Valid spans of row `y`, left to right.
@@ -523,12 +568,11 @@ impl RemapPlan {
             .find(|t| t.tile_dims() == (tile_w, tile_h))
     }
 
-    /// Total plan size in bytes (map + SoA planes + spans + quantized
-    /// LUTs); what a view change costs in memory.
+    /// Total plan size in bytes (map + corner plane + spans +
+    /// quantized LUTs); what a view change costs in memory.
     pub fn bytes(&self) -> usize {
         self.map.bytes()
-            + self.sx.len() * 4
-            + self.sy.len() * 4
+            + self.corners.len() * std::mem::size_of::<Corner>()
             + self.spans.len() * std::mem::size_of::<ValidSpan>()
             + self.fixed.iter().map(|f| f.bytes()).sum::<usize>()
     }
@@ -820,6 +864,42 @@ mod tests {
         );
         assert!(loaded.bytes() > bare.bytes());
         assert!(bare.bytes() > map.bytes());
+    }
+
+    #[test]
+    fn full_coverage_plan_is_twelve_bytes_per_pixel_plus_spans() {
+        // the 8 B/px map plus the 4 B/px corner plane, and one span
+        // per row
+        let (map, _) = setup(180.0, 90.0);
+        let plan = RemapPlan::compile(&map, PlanOptions::default());
+        assert_eq!(plan.invalid_pixels(), 0);
+        let px = 80 * 60;
+        let spans = 60 * std::mem::size_of::<ValidSpan>();
+        assert_eq!(std::mem::size_of::<Corner>(), 4);
+        assert_eq!(plan.bytes(), 12 * px + spans);
+    }
+
+    #[test]
+    fn corners_are_interior_exactly_where_no_tap_clamps() {
+        let at = |sx: f32, sy: f32, dims| Corner::of(crate::map::MapEntry { sx, sy }, dims);
+        let d = (10, 6);
+        assert_eq!(at(0.5, 0.5, d), Corner { x: 0, y: 0 });
+        assert_eq!(at(5.25, 3.75, d), Corner { x: 4, y: 3 });
+        // the last interior footprint starts at (dim - 2)
+        assert_eq!(at(9.49, 5.49, d), Corner { x: 8, y: 4 });
+        // touching or crossing any of the four borders
+        for (sx, sy) in [(0.49, 3.0), (9.5, 3.0), (5.0, 0.49), (5.0, 5.5)] {
+            assert_eq!(at(sx, sy, d), Corner::EDGE, "({sx}, {sy})");
+        }
+        assert_eq!(at(f32::NAN, f32::NAN, d), Corner::EDGE);
+        assert_eq!(at(f32::INFINITY, 1.0, d), Corner::EDGE);
+        // 1-wide and 1-tall sources have no interior footprint
+        assert_eq!(at(0.5, 2.0, (1, 6)), Corner::EDGE);
+        assert_eq!(at(2.0, 0.5, (10, 1)), Corner::EDGE);
+        // a source dimension past u16::MAX falls back to EDGE everywhere
+        assert_eq!(at(5.0, 3.0, (70_000, 6)), Corner::EDGE);
+        assert_eq!(at(5.0, 3.0, (10, 70_000)), Corner::EDGE);
+        assert_eq!(at(5.0, 3.0, (65_535, 6)), Corner { x: 4, y: 2 });
     }
 
     #[test]

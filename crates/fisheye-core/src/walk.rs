@@ -9,18 +9,26 @@
 //!   exclusive/blend segments are the general case. Gaps between runs
 //!   fill black.
 //! * a **span sampler** (`Sampler`) — how one source is gathered
-//!   over a run: the scalar nearest/bilinear/bicubic kernels
-//!   (`Scalar`), the 4-lane bilinear kernel (`simd::Lanes`) or the
-//!   fixed-point LUT kernel (`Fixed`).
+//!   over a run: the float kernels (`Scalar`) or the fixed-point LUT
+//!   kernel (`Fixed`). The float kernels read each plan's map row
+//!   and, for bilinear, its corner row: `serial`, `smp` and `simd`
+//!   all run the one corner sampler
+//!   (`sample_bilinear_corner`), which needs no `floor` and no
+//!   clamp for an interior pixel. Nearest and bicubic read the map
+//!   row alone.
 //! * a **post operation** (`PostOp`) applied to every pixel as it is
-//!   produced — sampled runs and gap fill alike. No post and a
-//!   compiled `PostPlan` are separate monomorphizations, so the
-//!   plain walk carries no per-pixel branch.
+//!   produced — sampled runs and gap fill alike. No post, a
+//!   dither-free post (one byte-table load) and a dithered post are
+//!   separate monomorphizations chosen once per frame, so no walk
+//!   carries a per-pixel test of what the post stage does.
 //!
-//! Every run inside a program is valid by construction (the span index
+//! Every exclusive run is valid by construction (the span index
 //! excludes invalid map entries, and a quantized LUT marks an entry
 //! invalid exactly when its float entry is), so no sampler checks
-//! validity per pixel.
+//! validity per pixel. A blend run gathers each source over the whole
+//! run, including pixels where that source has weight 0 and may be
+//! invalid: every sampler reads an invalid entry as a clamped border
+//! texel, and the blend never uses it.
 
 use std::borrow::Borrow;
 use std::ops::Deref;
@@ -30,9 +38,9 @@ use par_runtime::{Schedule, ThreadPool};
 use pixmap::{Image, Pixel};
 
 use crate::engine::EnginePixel;
-use crate::interp::{sample_bicubic, sample_bilinear, sample_nearest, Interpolator};
-use crate::map::{FixedMapEntry, FixedRemapMap};
-use crate::plan::RemapPlan;
+use crate::interp::{sample_bicubic, sample_bilinear_corner, sample_nearest, Interpolator};
+use crate::map::{FixedMapEntry, FixedRemapMap, MapEntry};
+use crate::plan::{Corner, RemapPlan};
 use crate::post::PostPlan;
 
 /// One run of output pixels within a row program.
@@ -51,9 +59,17 @@ pub(crate) trait Program<P: Pixel>: Sync {
     /// Row `y`'s runs, left to right, non-overlapping.
     fn runs(&self, y: u32) -> impl Iterator<Item = Seg> + '_;
 
-    /// The value of output pixel `x` (the `i`-th pixel) of a blend run
-    /// of row `y` whose weights start at `woff`.
-    fn blend<S: Sampler<P>>(&self, sampler: &S, y: u32, x: usize, woff: usize, i: usize) -> P;
+    /// Fill `out`, the blend run of row `y` starting at output column
+    /// `start` (`at = (start, y)`) whose weights start at `woff`,
+    /// passing each pixel through `post`.
+    fn blend_run<S: Sampler<P>, Q: PostOp<P>>(
+        &self,
+        sampler: &S,
+        post: &Q,
+        at: (usize, u32),
+        woff: usize,
+        out: &mut [P],
+    );
 }
 
 /// A plan's valid spans: exclusive runs of source 0, no blends.
@@ -67,21 +83,25 @@ impl<P: Pixel> Program<P> for RemapPlan {
         })
     }
 
-    fn blend<S: Sampler<P>>(&self, _: &S, _: u32, _: usize, _: usize, _: usize) -> P {
+    fn blend_run<S: Sampler<P>, Q: PostOp<P>>(
+        &self,
+        _: &S,
+        post: &Q,
+        (start, y): (usize, u32),
+        _: usize,
+        out: &mut [P],
+    ) {
         // a single plan never emits a blend run
-        P::BLACK
+        fill(post, y, start, out);
     }
 }
 
 /// How one source is gathered over a run.
 pub(crate) trait Sampler<P: Pixel>: Sync {
-    /// Sample source `source` at row `y`'s coordinates for output
+    /// Sample source `source` at row `y`'s map entries for output
     /// columns `start .. start + out.len()`, passing each sample
     /// through `post` as it is stored.
     fn span<Q: PostOp<P>>(&self, source: usize, y: u32, start: usize, out: &mut [P], post: &Q);
-
-    /// One sample of source `source` at output pixel `(x, y)`.
-    fn pixel(&self, source: usize, y: u32, x: usize) -> P;
 }
 
 /// The per-pixel post operation the walk applies as it stores.
@@ -100,10 +120,22 @@ impl<P: Pixel> PostOp<P> for NoPost {
     }
 }
 
+/// A compiled post stage with dither: the full per-pixel transfer.
 impl<P: EnginePixel> PostOp<P> for PostPlan {
     #[inline(always)]
     fn apply(&self, v: P, x: usize, y: u32) -> P {
         v.post_pixel(self, x as u32, y)
+    }
+}
+
+/// A compiled post stage without dither: coordinate-free, so a byte
+/// plane costs one table load per pixel and no dither test.
+pub(crate) struct TablePost<'a>(pub &'a PostPlan);
+
+impl<P: EnginePixel> PostOp<P> for TablePost<'_> {
+    #[inline(always)]
+    fn apply(&self, v: P, _: usize, _: u32) -> P {
+        v.post_table(self.0)
     }
 }
 
@@ -123,17 +155,53 @@ impl<P: Pixel, R> Clone for Sources<'_, P, R> {
 impl<P: Pixel, R> Copy for Sources<'_, P, R> {}
 
 impl<'a, P: Pixel, R: Borrow<RemapPlan>> Sources<'a, P, R> {
-    /// Source `source`'s frame and its plan's coordinate rows `y`.
+    /// Source `source`'s frame and its plan's map and corner rows `y`.
     #[inline]
-    pub fn row(&self, source: usize, y: u32) -> (&'a Image<P>, &'a [f32], &'a [f32]) {
+    pub fn row(&self, source: usize, y: u32) -> (&'a Image<P>, &'a [MapEntry], &'a [Corner]) {
         let plan: &'a RemapPlan = self.plans[source].borrow();
-        (self.frames[source], plan.row_sx(y), plan.row_sy(y))
+        (self.frames[source], plan.map().row(y), plan.row_corners(y))
     }
 }
 
-/// The scalar float sampler: any per-coordinate kernel
-/// (`sample_nearest`, `sample_bilinear`, `sample_bicubic`) over the
-/// plans' SoA coordinate planes.
+/// A float kernel: one sample per map entry and its corner.
+pub(crate) trait Kernel<P: Pixel>: Sync {
+    fn sample(&self, src: &Image<P>, e: MapEntry, c: Corner) -> P;
+}
+
+/// Nearest at the entry's coordinates.
+pub(crate) struct Nearest;
+
+/// The corner bilinear ([`sample_bilinear_corner`]).
+pub(crate) struct Bilinear;
+
+/// Bicubic at the entry's coordinates.
+pub(crate) struct Bicubic;
+
+// `inline(always)`: each span loop must see its kernel's body, not a
+// call per pixel
+
+impl<P: Pixel> Kernel<P> for Nearest {
+    #[inline(always)]
+    fn sample(&self, src: &Image<P>, e: MapEntry, _: Corner) -> P {
+        sample_nearest(src, e.sx, e.sy)
+    }
+}
+
+impl<P: Pixel> Kernel<P> for Bilinear {
+    #[inline(always)]
+    fn sample(&self, src: &Image<P>, e: MapEntry, c: Corner) -> P {
+        sample_bilinear_corner(src, e, c)
+    }
+}
+
+impl<P: Pixel> Kernel<P> for Bicubic {
+    #[inline(always)]
+    fn sample(&self, src: &Image<P>, e: MapEntry, _: Corner) -> P {
+        sample_bicubic(src, e.sx, e.sy)
+    }
+}
+
+/// The float sampler: one kernel over the plans' map and corner rows.
 pub(crate) struct Scalar<'a, P: Pixel, R, K> {
     pub sources: Sources<'a, P, R>,
     pub kernel: K,
@@ -143,27 +211,21 @@ impl<P, R, K> Sampler<P> for Scalar<'_, P, R, K>
 where
     P: Pixel,
     R: Borrow<RemapPlan> + Sync,
-    K: Fn(&Image<P>, f32, f32) -> P + Sync,
+    K: Kernel<P>,
 {
     #[inline]
     fn span<Q: PostOp<P>>(&self, source: usize, y: u32, start: usize, out: &mut [P], post: &Q) {
-        let (src, sx, sy) = self.sources.row(source, y);
+        let (src, entries, corners) = self.sources.row(source, y);
         let r = start..start + out.len();
         scalar_span(
             &self.kernel,
             src,
-            &sx[r.clone()],
-            &sy[r],
+            &entries[r.clone()],
+            &corners[r],
             post,
             (start, y),
             out,
         );
-    }
-
-    #[inline]
-    fn pixel(&self, source: usize, y: u32, x: usize) -> P {
-        let (src, sx, sy) = self.sources.row(source, y);
-        (self.kernel)(src, sx[x], sy[x])
     }
 }
 
@@ -206,33 +268,27 @@ impl<P: EnginePixel> Sampler<P> for Fixed<'_, P> {
             out,
         );
     }
-
-    #[inline]
-    fn pixel(&self, source: usize, y: u32, x: usize) -> P {
-        let e = &self.luts[source].row(y)[x];
-        P::sample_fixed(self.frames[source], e, self.frac_bits)
-    }
 }
 
 // The span kernels: each sampler's inner loop, kept out of line with
 // the frame, coordinates and output as plain arguments so the
 // optimizer sees them as non-aliasing for the whole loop.
 
-/// Scalar kernel over one span starting at output pixel `(start, y)`.
+/// Float kernel over one span starting at output pixel `(start, y)`.
 #[inline(never)]
-fn scalar_span<P: Pixel, K: Fn(&Image<P>, f32, f32) -> P, Q: PostOp<P>>(
+fn scalar_span<P: Pixel, K: Kernel<P>, Q: PostOp<P>>(
     kernel: &K,
     src: &Image<P>,
-    sx: &[f32],
-    sy: &[f32],
+    entries: &[MapEntry],
+    corners: &[Corner],
     post: &Q,
     (start, y): (usize, u32),
     out: &mut [P],
 ) {
     // zipped iterators: the span is the bulk of the surface and must
     // not pay per-pixel bounds checks
-    for (i, ((cx, cy), o)) in sx.iter().zip(sy).zip(out).enumerate() {
-        *o = post.apply(kernel(src, *cx, *cy), start + i, y);
+    for (i, ((e, c), o)) in entries.iter().zip(corners).zip(out).enumerate() {
+        *o = post.apply(kernel.sample(src, *e, *c), start + i, y);
     }
 }
 
@@ -273,12 +329,13 @@ where
             Seg::Exclusive { source, .. } => {
                 sampler.span(source as usize, y, start, &mut out_row[start..end], post)
             }
-            Seg::Blend { woff, .. } => {
-                for (i, o) in out_row[start..end].iter_mut().enumerate() {
-                    let x = start + i;
-                    *o = post.apply(program.blend(sampler, y, x, woff as usize, i), x, y);
-                }
-            }
+            Seg::Blend { woff, .. } => program.blend_run(
+                sampler,
+                post,
+                (start, y),
+                woff as usize,
+                &mut out_row[start..end],
+            ),
         }
         cursor = end;
     }
@@ -289,7 +346,7 @@ where
 /// Gap fill: black through post (dither makes even the fill
 /// coordinate-dependent).
 #[inline]
-fn fill<P: Pixel, Q: PostOp<P>>(post: &Q, y: u32, from: usize, out: &mut [P]) {
+pub(crate) fn fill<P: Pixel, Q: PostOp<P>>(post: &Q, y: u32, from: usize, out: &mut [P]) {
     for (i, o) in out.iter_mut().enumerate() {
         *o = post.apply(P::BLACK, from + i, y);
     }
@@ -321,7 +378,7 @@ pub(crate) fn walk_frame<P, G, S, Q>(
     }
 }
 
-/// [`walk_frame`] with the scalar sampler for `interp`: the kernel
+/// [`walk_frame`] with the float sampler for `interp`: the kernel
 /// dispatch is hoisted out of the pixel loop, one monomorphization per
 /// kernel.
 pub(crate) fn walk_scalar<P, G, R, Q>(
@@ -339,15 +396,15 @@ pub(crate) fn walk_scalar<P, G, R, Q>(
 {
     match interp {
         Interpolator::Nearest => {
-            let kernel = sample_nearest::<P>;
+            let kernel = Nearest;
             walk_frame(program, &Scalar { sources, kernel }, post, pool, out)
         }
         Interpolator::Bilinear => {
-            let kernel = sample_bilinear::<P>;
+            let kernel = Bilinear;
             walk_frame(program, &Scalar { sources, kernel }, post, pool, out)
         }
         Interpolator::Bicubic => {
-            let kernel = sample_bicubic::<P>;
+            let kernel = Bicubic;
             walk_frame(program, &Scalar { sources, kernel }, post, pool, out)
         }
     }

@@ -214,7 +214,7 @@ fn digest_ignores_materialization_but_folds_in_options() {
 
 /// A delta recompilation seeded by the outgoing plan must be
 /// indistinguishable from a cold [`RemapPlan::compile`] of the new
-/// map: same digest, spans, coordinate bits and invalid count, and
+/// map: same digest, spans, corners, map bits and invalid count, and
 /// its lazily derived artifacts must match the cold plan's eager
 /// ones. Covers full reuse (unchanged view), small pans, wholesale
 /// view swaps and output-dimension changes (the rebuild fallback).
@@ -244,9 +244,17 @@ fn delta_recompile_bit_exact_with_cold_compile() {
         ensure_eq!(delta.invalid_pixels(), cold.invalid_pixels());
         for y in 0..map.height() {
             ensure_eq!(delta.spans(y), cold.spans(y), "spans row {y}");
-            let bits = |v: &[f32]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            ensure_eq!(bits(delta.row_sx(y)), bits(cold.row_sx(y)), "sx row {y}");
-            ensure_eq!(bits(delta.row_sy(y)), bits(cold.row_sy(y)), "sy row {y}");
+            ensure_eq!(delta.row_corners(y), cold.row_corners(y), "corners row {y}");
+            let bits = |r: &[MapEntry]| {
+                r.iter()
+                    .map(|e| (e.sx.to_bits(), e.sy.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            ensure_eq!(
+                bits(delta.map().row(y)),
+                bits(cold.map().row(y)),
+                "map row {y}"
+            );
         }
         // Lazily derived artifacts match the cold plan's eager ones.
         let frame = pixmap::scene::random_gray(sw, sh, g.u64_any());

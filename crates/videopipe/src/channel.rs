@@ -1,4 +1,5 @@
-//! A bounded blocking queue (the inter-stage channel).
+//! A bounded blocking queue (the inter-stage channel) and the credit
+//! pool that bounds frames in flight across stages.
 //!
 //! Classic mutex + two condvars design (cf. *Rust Atomics and Locks*
 //! ch. 5): producers block when full (back-pressure), consumers block
@@ -146,6 +147,46 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+/// A counting semaphore for credit-based admission: a producer takes
+/// one credit per item it admits, blocking while none is left, and
+/// the consumer hands credits back as items leave. Bounds the items
+/// in flight across every stage between the two, which per-stage
+/// queue capacities alone do not. Clone to share between threads.
+#[derive(Clone)]
+pub struct Credits {
+    inner: Arc<(Mutex<usize>, Condvar)>,
+}
+
+impl Credits {
+    /// A pool of `n` credits (must be ≥ 1).
+    pub fn new(n: usize) -> Self {
+        assert!(n >= 1, "need at least 1 credit");
+        Credits {
+            inner: Arc::new((Mutex::new(n), Condvar::new())),
+        }
+    }
+
+    /// Take one credit, blocking until one is free.
+    pub fn acquire(&self) {
+        let (free, freed) = &*self.inner;
+        let mut free = free.lock();
+        while *free == 0 {
+            freed.wait(&mut free);
+        }
+        *free -= 1;
+    }
+
+    /// Return `n` credits.
+    pub fn release(&self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let (free, freed) = &*self.inner;
+        *free.lock() += n;
+        freed.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +306,19 @@ mod tests {
         assert_eq!(q.high_water(), 5);
         assert_eq!(q.len(), 3);
         assert_eq!(q.capacity(), 8);
+    }
+
+    #[test]
+    fn credits_block_until_released() {
+        let c = Credits::new(2);
+        c.acquire();
+        c.acquire();
+        let c2 = c.clone();
+        let t = std::thread::spawn(move || c2.acquire());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!t.is_finished(), "acquire must block with no credit free");
+        c.release(1);
+        t.join().unwrap();
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * [`channel`] — a bounded blocking MPMC queue built from the
 //!   `par_runtime::sync` lock wrappers (the back-pressure mechanism
 //!   between stages), implemented here rather than imported so its
-//!   behaviour under the measurement load is fully known.
+//!   behaviour under the measurement load is fully known; plus the
+//!   credit pool that bounds frames in flight when the sink
+//!   resequences.
 //! * [`source`] — synthetic video sources: a cycled set of captured
 //!   fisheye frames and a cheap per-frame shift variant for motion.
 //! * [`pipeline`] — capture → correct (N workers) → sink, with
@@ -24,7 +26,7 @@ pub mod pipeline;
 pub mod resequencer;
 pub mod source;
 
-pub use channel::BoundedQueue;
+pub use channel::{BoundedQueue, Credits};
 pub use latency::LatencyStats;
 pub use pipeline::{run_frame_pipeline, run_pipeline, PipeConfig, PipeReport};
 pub use resequencer::Resequencer;

@@ -34,7 +34,7 @@ use fisheye_core::plan::RemapPlan;
 use fisheye_core::Interpolator;
 use pixmap::{FramePool, Gray8, Image, PlanePool, PooledFrame};
 
-use crate::channel::BoundedQueue;
+use crate::channel::{BoundedQueue, Credits};
 use crate::source::{FramePacket, FrameSource, VideoFrame, VideoSource};
 
 /// Pipeline configuration.
@@ -52,10 +52,13 @@ pub struct PipeConfig {
     /// and `simd` (the quantized LUT must already be in the plan —
     /// compile it with `PlanOptions::for_spec`).
     pub engine: EngineSpec,
-    /// When `Some(cap)`, the sink reorders frames through a
+    /// When `Some(window)`, the sink reorders frames through a
     /// [`crate::Resequencer`] with that buffer capacity, delivering
-    /// `on_frame` calls strictly in sequence (late frames are
-    /// dropped and counted in [`PipeReport::dropped`]).
+    /// `on_frame` calls strictly in sequence. Capture then admits a
+    /// frame only against a credit the sink returns on delivery, so at
+    /// most `window` frames are in flight and the buffer can never
+    /// overflow: however the workers are scheduled, no frame is
+    /// skipped ([`PipeReport::dropped`] stays 0).
     pub resequence: Option<usize>,
     /// Per-frame latency budget, capture → sink. Frames over budget
     /// are still delivered — a corrected late frame beats a gap — but
@@ -186,6 +189,34 @@ fn check_worker_engine(spec: &EngineSpec, interp: Interpolator) -> Capabilities 
     caps
 }
 
+/// Take an admission credit (when resequencing), then capture the
+/// next frame.
+fn admitted<T>(credits: &Option<Credits>, capture: impl FnOnce() -> Option<T>) -> Option<T> {
+    if let Some(c) = credits {
+        c.acquire();
+    }
+    capture()
+}
+
+/// Offer a corrected frame to the resequencer and hand back one credit
+/// per frame that left it: each one delivered in order, and the frame
+/// itself if it arrived too late for its slot. With admission bounded
+/// by the window no frame is ever late, but a leaked credit would
+/// stall capture, so a late one is returned too.
+fn resequence<T>(
+    r: &mut crate::Resequencer<T>,
+    credits: &Option<Credits>,
+    seq: u64,
+    item: T,
+) -> Vec<(u64, T)> {
+    let late = seq < r.next_seq();
+    let ready = r.push(seq, item);
+    if let Some(c) = credits {
+        c.release(ready.len() + late as usize);
+    }
+    ready
+}
+
 /// Drive `source` through the correction pipeline to exhaustion and
 /// return the measurements. `on_frame` is invoked at the sink for
 /// every corrected frame, receiving the pooled output **by value**:
@@ -220,6 +251,7 @@ pub fn run_pipeline(
     // hands — primed up front, the per-frame path never allocates
     let pool: FramePool<Gray8> = FramePool::new(plan.width(), plan.height());
     pool.prime(config.queue_capacity + config.workers + config.resequence.unwrap_or(0) + 1);
+    let credits = config.resequence.map(Credits::new);
 
     let started = Instant::now();
     let mut frames = 0u64;
@@ -232,10 +264,12 @@ pub fn run_pipeline(
     let mut last_seq: Option<u64> = None;
 
     std::thread::scope(|s| {
-        // capture stage
+        // capture stage: with resequencing, a credit per frame before
+        // it is captured (so credit waits stay out of its latency)
         let q_in_prod = q_in.clone();
+        let admit = credits.clone();
         s.spawn(move || {
-            while let Some(frame) = source.next_frame() {
+            while let Some(frame) = admitted(&admit, || source.next_frame()) {
                 if q_in_prod.push(frame).is_err() {
                     break;
                 }
@@ -303,7 +337,7 @@ pub fn run_pipeline(
             last_seq = Some(done.seq.max(last_seq.unwrap_or(0)));
             match reseq.as_mut() {
                 Some(r) => {
-                    for (seq, f) in r.push(done.seq, done) {
+                    for (seq, f) in resequence(r, &credits, done.seq, done) {
                         on_frame(seq, f.image);
                         frames += 1;
                     }
@@ -405,6 +439,7 @@ pub fn run_frame_pipeline(
     // same in-flight bound as the gray pipeline, per plane
     let pool: PlanePool<Gray8> = PlanePool::new(&plan.plane_dims());
     pool.prime(config.queue_capacity + config.workers + config.resequence.unwrap_or(0) + 1);
+    let credits = config.resequence.map(Credits::new);
 
     let started = Instant::now();
     let mut frames = 0u64;
@@ -418,10 +453,11 @@ pub fn run_frame_pipeline(
     let mut last_seq: Option<u64> = None;
 
     std::thread::scope(|s| {
-        // capture stage
+        // capture stage, credit-bounded like the gray pipeline
         let q_in_prod = q_in.clone();
+        let admit = credits.clone();
         s.spawn(move || {
-            while let Some(packet) = source.next_frame() {
+            while let Some(packet) = admitted(&admit, || source.next_frame()) {
                 if q_in_prod.push(packet).is_err() {
                     break;
                 }
@@ -511,7 +547,7 @@ pub fn run_frame_pipeline(
             last_seq = Some(done.seq.max(last_seq.unwrap_or(0)));
             match reseq.as_mut() {
                 Some(r) => {
-                    for (seq, f) in r.push(done.seq, done) {
+                    for (seq, f) in resequence(r, &credits, done.seq, done) {
                         on_frame(seq, f.planes);
                         frames += 1;
                     }
@@ -918,6 +954,44 @@ mod tests {
         assert_eq!(seqs, expect);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.frames, 30);
+    }
+
+    #[test]
+    fn oversubscribed_workers_never_outrun_the_resequence_window() {
+        // 8 workers on a small box, a 4-frame window and a deep input
+        // queue: without credit-bounded admission a descheduled worker
+        // lets the others push the reorder buffer past its window and
+        // its frame is skipped
+        let plan = test_plan();
+        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 12), 1, 500));
+        let config = PipeConfig {
+            workers: 8,
+            queue_capacity: 16,
+            resequence: Some(4),
+            ..Default::default()
+        };
+        let mut seqs = Vec::new();
+        let report = run_pipeline(src, &plan, config, |seq, _| seqs.push(seq));
+        assert_eq!(report.dropped, 0);
+        assert_eq!(report.frames, 500);
+        assert_eq!(seqs, (0..500).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn oversubscribed_frame_pipeline_never_outruns_the_window() {
+        let plan = yuv_test_plan_for(&EngineSpec::Serial);
+        let src = Box::new(CycledFrames::new(vec![yuv_frame(43), yuv_frame(44)], 200));
+        let config = PipeConfig {
+            workers: 8,
+            queue_capacity: 16,
+            resequence: Some(4),
+            ..Default::default()
+        };
+        let mut seqs = Vec::new();
+        let report = run_frame_pipeline(src, &plan, config, |seq, _| seqs.push(seq));
+        assert_eq!(report.dropped, 0);
+        assert_eq!(report.frames, 200);
+        assert_eq!(seqs, (0..200).collect::<Vec<u64>>());
     }
 
     #[test]
