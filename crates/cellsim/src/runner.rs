@@ -197,6 +197,7 @@ impl CellRunner {
             }
         }
         let mut entries = vec![MapEntry::INVALID; out_w as usize * out_h as usize];
+        let rays = view.rays();
         let n = self.config.n_spes;
         let mut spe_times = vec![0.0f64; n];
         let batches: Vec<u32> = (0..out_h).step_by(rows_per_batch as usize).collect();
@@ -206,7 +207,7 @@ impl CellRunner {
             // functional: compute the rows exactly as the host builder
             for y in y0..y1 {
                 for x in 0..out_w {
-                    let ray = view.pixel_ray(x as f64 + 0.5, y as f64 + 0.5);
+                    let ray = rays.ray(x as f64 + 0.5, y as f64 + 0.5);
                     entries[(y * out_w + x) as usize] = match lens.project(ray) {
                         Some((sx, sy))
                             if sx >= 0.0 && sx < src_w as f64 && sy >= 0.0 && sy < src_h as f64 =>

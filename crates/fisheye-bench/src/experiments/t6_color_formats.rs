@@ -26,7 +26,7 @@ use pixmap::yuv::Yuv420;
 use pixmap::{Image, Rgb8};
 
 use crate::table::{f2, Table};
-use crate::workloads::{default_resolution, resolution, time_median};
+use crate::workloads::{default_resolution, median, resolution, time_median};
 use crate::Scale;
 
 /// The host backends the table sweeps. Fixed-point is excluded only
@@ -54,12 +54,6 @@ fn kernel_time(corrector: &FrameCorrector, frame: &Frame) -> f64 {
         .expect("host backends correct every byte format");
     std::hint::black_box(out);
     report.correct_time.as_secs_f64()
-}
-
-/// Median of a sample vector.
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// Run the experiment.

@@ -117,6 +117,12 @@ pub fn random_workload(res: Resolution, seed: u64) -> Workload {
     }
 }
 
+/// Median of a sample vector (the upper median for even lengths).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Median-of-`reps` wall time of `f`, seconds.
 pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
     assert!(reps >= 1);

@@ -92,14 +92,16 @@ fn panorama_projection(width: u32, height: u32) -> OutputProjection {
 /// source coordinate, invalid where the ray leaves the camera's field
 /// of view or sensor.
 pub fn panorama_camera_map(cam: &MountedLens, width: u32, height: u32) -> RemapMap {
-    let proj = panorama_projection(width, height);
+    let rays = panorama_projection(width, height).rays();
+    // `project_world` with the world-to-camera rotation hoisted
+    let world_to_cam = cam.cam_to_world.transpose();
     let (sw, sh) = sensor_dims(&cam.lens);
     let (fw, fh) = (sw as f64, sh as f64);
     let mut entries = Vec::with_capacity(width as usize * height as usize);
     for y in 0..height {
         for x in 0..width {
-            let ray = proj.pixel_ray(x as f64 + 0.5, y as f64 + 0.5);
-            let e = match cam.project_world(ray) {
+            let ray = rays.ray(x as f64 + 0.5, y as f64 + 0.5);
+            let e = match cam.lens.project(world_to_cam * ray) {
                 Some((sx, sy)) if (0.0..fw).contains(&sx) && (0.0..fh).contains(&sy) => MapEntry {
                     sx: sx as f32,
                     sy: sy as f32,
@@ -117,11 +119,11 @@ pub fn panorama_camera_map(cam: &MountedLens, width: u32, height: u32) -> RemapM
 /// output pixel's ray). [`CompositePlan::assemble`] normalizes these
 /// into the quantized per-pixel weights.
 pub fn panorama_scores(rig: &CameraRig, width: u32, height: u32) -> Vec<Vec<f32>> {
-    let proj = panorama_projection(width, height);
+    let rays = panorama_projection(width, height).rays();
     let mut scores = vec![vec![0f32; width as usize * height as usize]; rig.len()];
     for y in 0..height {
         for x in 0..width {
-            let ray = proj.pixel_ray(x as f64 + 0.5, y as f64 + 0.5);
+            let ray = rays.ray(x as f64 + 0.5, y as f64 + 0.5);
             let idx = y as usize * width as usize + x as usize;
             for (i, plane) in scores.iter_mut().enumerate() {
                 plane[idx] = rig.score(i, ray) as f32;

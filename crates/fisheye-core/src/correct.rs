@@ -123,8 +123,9 @@ pub fn correct_direct<P: Pixel>(
     interp: Interpolator,
 ) -> Image<P> {
     let (sw, sh) = src.dims();
+    let rays = view.rays();
     Image::from_fn(view.width, view.height, |x, y| {
-        let ray = view.pixel_ray(x as f64 + 0.5, y as f64 + 0.5);
+        let ray = rays.ray(x as f64 + 0.5, y as f64 + 0.5);
         match lens.project(ray) {
             Some((sx, sy)) if sx >= 0.0 && sx < sw as f64 && sy >= 0.0 && sy < sh as f64 => {
                 interp.sample(src, sx as f32, sy as f32)

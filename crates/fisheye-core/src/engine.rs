@@ -1059,9 +1059,10 @@ pub fn execute_direct<P: Pixel>(
     let (sw, sh) = src.dims();
     let mut invalid = 0u64;
     let t0 = Instant::now();
+    let rays = view.rays();
     for y in 0..view.height {
         for x in 0..view.width {
-            let ray = view.pixel_ray(x as f64 + 0.5, y as f64 + 0.5);
+            let ray = rays.ray(x as f64 + 0.5, y as f64 + 0.5);
             let v = match lens.project(ray) {
                 Some((sx, sy)) if sx >= 0.0 && sx < sw as f64 && sy >= 0.0 && sy < sh as f64 => {
                     interp.sample(src, sx as f32, sy as f32)

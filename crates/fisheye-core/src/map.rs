@@ -6,6 +6,14 @@
 //! applying it costs a few loads and multiplies (memory-bound). The
 //! paper exploits exactly this asymmetry: the LUT is rebuilt only when
 //! the view changes, and both phases are parallelized independently.
+//!
+//! Every builder compiles its view once per build
+//! ([`PerspectiveView::rays`], [`fisheye_geom::OutputProjection::rays`]):
+//! the focal length's `tan`, the pan/tilt/roll `sin_cos` and the
+//! rotation's matrix products are per view. What is left per pixel of
+//! a perspective view on an equidistant lens is one `atan2`, two
+//! `sqrt` and five divisions (other lens models add their `sin`, `tan`
+//! or `asin` of θ).
 
 use fisheye_geom::{BrownConrady, FisheyeLens, PerspectiveView};
 use par_runtime::{Schedule, ThreadPool};
@@ -93,7 +101,8 @@ impl RemapMap {
         pool: Option<(&ThreadPool, Schedule)>,
     ) -> Self {
         let m = Self::empty(view.width, view.height, src_w, src_h);
-        m.fill_rows(pool, &|fx, fy| lens.project(view.pixel_ray(fx, fy)))
+        let rays = view.rays();
+        m.fill_rows(pool, &|fx, fy| lens.project(rays.ray(fx, fy)))
     }
 
     /// Build for an arbitrary output projection (perspective,
@@ -131,7 +140,8 @@ impl RemapMap {
     ) -> Self {
         let (w, h) = proj.dims();
         let m = Self::empty(w, h, src_w, src_h);
-        m.fill_rows(pool, &|fx, fy| lens.project(proj.pixel_ray(fx, fy)))
+        let rays = proj.rays();
+        m.fill_rows(pool, &|fx, fy| lens.project(rays.ray(fx, fy)))
     }
 
     /// Build the half-resolution chroma map of a 4:2:0 frame by
@@ -162,11 +172,12 @@ impl RemapMap {
             src_h.div_ceil(2),
         );
         let (sw, sh) = (src_w as f64, src_h as f64);
+        let rays = view.rays();
         m.fill_rows(pool, &|fx, fy| {
             // validity is decided against the luma frame: the ceil'd
             // chroma plane may carry a padding column/row that no
             // luma pixel backs
-            let (sx, sy) = lens.project(view.pixel_ray(2.0 * fx, 2.0 * fy))?;
+            let (sx, sy) = lens.project(rays.ray(2.0 * fx, 2.0 * fy))?;
             (sx >= 0.0 && sx < sw && sy >= 0.0 && sy < sh).then_some((sx * 0.5, sy * 0.5))
         })
     }
@@ -366,7 +377,11 @@ impl RemapMap {
 /// chroma) in both serial and pooled form, so the variants cannot
 /// drift apart numerically. `project` maps an output pixel-center
 /// coordinate to a source coordinate (`None` = no ray / off-sensor);
-/// the shared source-rectangle bounds policy lives here.
+/// the shared source-rectangle bounds policy lives here. Builders
+/// hand it a closure over a ray generator compiled once per build, so
+/// `project` carries only per-pixel work: the ray's normalization
+/// (one `sqrt`, three divisions) and the lens projection (`atan2` of
+/// the off-axis distance, one `sqrt`, two divisions).
 ///
 /// The row is processed in fixed-width lanes: the trig-heavy
 /// projection fills small staging arrays, and the branch-light

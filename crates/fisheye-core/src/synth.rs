@@ -141,13 +141,14 @@ pub fn ground_truth(
     assert!(ss >= 1, "supersampling factor must be >= 1");
     let inv = 1.0 / ss as f64;
     let norm = 1.0 / (ss * ss) as f32;
+    let rays = view.rays();
     Image::from_fn(view.width, view.height, |x, y| {
         let mut acc = 0.0f32;
         for sy in 0..ss {
             for sx in 0..ss {
                 let px = x as f64 + (sx as f64 + 0.5) * inv;
                 let py = y as f64 + (sy as f64 + 0.5) * inv;
-                let ray = view.pixel_ray(px, py);
+                let ray = rays.ray(px, py);
                 acc += shade(scene, &world, ray);
             }
         }

@@ -159,13 +159,21 @@ impl FisheyeLens {
     /// Project a camera-frame ray (need not be normalized, must not be
     /// the zero vector) to fisheye pixel coordinates. Returns `None`
     /// when the ray's θ exceeds the lens field of view.
+    #[inline]
     pub fn project(&self, ray: Vec3) -> Option<(f64, f64)> {
-        let theta = Vec3::AXIS_Z.angle_to(ray);
+        // θ = atan2(|ẑ × ray|, ẑ · ray), as `Vec3::angle_to` computes
+        // it, with the cross-product norm kept as ρ, the ray's distance
+        // from the optical axis. That norm equals `sqrt(x² + y²)` bit
+        // for bit: ẑ × ray is `(−y, x, ±0)` (the zero multiplies are
+        // exact), so its squared norm sums `y² + x²` (IEEE addition is
+        // commutative) and then adds `+0`, which is exact for the
+        // non-negative sum.
+        let rho = Vec3::AXIS_Z.cross(ray).norm();
+        let theta = rho.atan2(Vec3::AXIS_Z.dot(ray));
         if theta > self.max_theta {
             return None;
         }
         let r = self.focal_px * self.model.theta_to_r_over_f(theta);
-        let rho = (ray.x * ray.x + ray.y * ray.y).sqrt();
         if rho == 0.0 {
             // on-axis ray maps to the principal point
             return Some((self.cx, self.cy));

@@ -37,8 +37,8 @@ pub use brown_conrady::BrownConrady;
 pub use lens::{FisheyeLens, LensModel};
 pub use mount::{Mount, MountedLens};
 pub use path::{Keyframe, PtzPath};
-pub use projection::OutputProjection;
+pub use projection::{OutputProjection, ProjectionRays};
 pub use rectify::{row_alignment_error, RectifiedPair, StereoRig};
 pub use rig::CameraRig;
 pub use vec3::{Mat3, Vec3};
-pub use view::PerspectiveView;
+pub use view::{PerspectiveView, ViewRays};

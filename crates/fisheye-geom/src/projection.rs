@@ -8,7 +8,7 @@
 //! correction kernel are unchanged.
 
 use crate::vec3::{Mat3, Vec3};
-use crate::view::PerspectiveView;
+use crate::view::{PerspectiveView, ViewRays};
 
 /// A corrected-output camera: any mapping from output pixels to
 /// camera-frame rays.
@@ -76,37 +76,44 @@ impl OutputProjection {
     }
 
     /// The camera-frame unit ray through output pixel `(x, y)`.
+    ///
+    /// A loop over many pixels should build [`OutputProjection::rays`]
+    /// once and call [`ProjectionRays::ray`].
     pub fn pixel_ray(&self, x: f64, y: f64) -> Vec3 {
-        match *self {
-            OutputProjection::Perspective(v) => v.pixel_ray(x, y),
+        self.rays().ray(x, y)
+    }
+
+    /// This projection's ray generator, with its per-view constants
+    /// (a perspective view's focal length and rotation, a cylinder's
+    /// half height) computed once.
+    pub fn rays(&self) -> ProjectionRays {
+        ProjectionRays(match *self {
+            OutputProjection::Perspective(v) => Rays::Perspective(v.rays()),
             OutputProjection::Cylindrical {
                 h_span,
                 v_half_fov,
                 pan,
                 width,
                 height,
-            } => {
-                let azimuth = (x / width as f64 - 0.5) * h_span + pan;
-                // y maps linearly onto the cylinder height = tan(elev)
-                let half_h = v_half_fov.tan();
-                let cy = (0.5 - y / height as f64) * 2.0 * half_h;
-                let dir = Mat3::rot_y(azimuth) * Vec3::new(0.0, -cy, 1.0);
-                dir.normalized()
-            }
+            } => Rays::Cylindrical {
+                h_span,
+                half_h: v_half_fov.tan(),
+                pan,
+                width: width as f64,
+                height: height as f64,
+            },
             OutputProjection::Equirectangular {
                 h_span,
                 v_span,
                 width,
                 height,
-            } => {
-                let azimuth = (x / width as f64 - 0.5) * h_span;
-                let elevation = (0.5 - y / height as f64) * v_span;
-                let (se, ce) = elevation.sin_cos();
-                let (sa, ca) = azimuth.sin_cos();
-                // y-down convention: positive elevation looks up (−Y)
-                Vec3::new(ce * sa, -se, ce * ca)
-            }
-        }
+            } => Rays::Equirectangular {
+                h_span,
+                v_span,
+                width: width as f64,
+                height: height as f64,
+            },
+        })
     }
 
     /// Short label for reports.
@@ -115,6 +122,67 @@ impl OutputProjection {
             OutputProjection::Perspective(_) => "perspective",
             OutputProjection::Cylindrical { .. } => "cylindrical",
             OutputProjection::Equirectangular { .. } => "equirectangular",
+        }
+    }
+}
+
+/// An [`OutputProjection`] compiled for per-pixel ray tracing (see
+/// [`OutputProjection::rays`]); [`ProjectionRays::ray`] is the one
+/// definition of each projection's pixel ray.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct ProjectionRays(Rays);
+
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Rays {
+    Perspective(ViewRays),
+    /// `half_h` is the cylinder's half height, `tan(v_half_fov)`.
+    Cylindrical {
+        h_span: f64,
+        half_h: f64,
+        pan: f64,
+        width: f64,
+        height: f64,
+    },
+    Equirectangular {
+        h_span: f64,
+        v_span: f64,
+        width: f64,
+        height: f64,
+    },
+}
+
+impl ProjectionRays {
+    /// The camera-frame unit ray through output pixel `(x, y)`.
+    #[inline]
+    pub fn ray(&self, x: f64, y: f64) -> Vec3 {
+        match self.0 {
+            Rays::Perspective(v) => v.ray(x, y),
+            Rays::Cylindrical {
+                h_span,
+                half_h,
+                pan,
+                width,
+                height,
+            } => {
+                let azimuth = (x / width - 0.5) * h_span + pan;
+                // y maps linearly onto the cylinder height = tan(elev)
+                let cy = (0.5 - y / height) * 2.0 * half_h;
+                let dir = Mat3::rot_y(azimuth) * Vec3::new(0.0, -cy, 1.0);
+                dir.normalized()
+            }
+            Rays::Equirectangular {
+                h_span,
+                v_span,
+                width,
+                height,
+            } => {
+                let azimuth = (x / width - 0.5) * h_span;
+                let elevation = (0.5 - y / height) * v_span;
+                let (se, ce) = elevation.sin_cos();
+                let (sa, ca) = azimuth.sin_cos();
+                // y-down convention: positive elevation looks up (−Y)
+                Vec3::new(ce * sa, -se, ce * ca)
+            }
         }
     }
 }

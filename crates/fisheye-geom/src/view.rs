@@ -66,12 +66,24 @@ impl PerspectiveView {
 
     /// The camera-frame unit ray through output pixel `(x, y)`
     /// (pixel centers at half-integer offsets).
+    ///
+    /// Recomputes the view's focal length and rotation on every call;
+    /// a loop over many pixels of one view should build
+    /// [`PerspectiveView::rays`] once and call [`ViewRays::ray`].
     pub fn pixel_ray(&self, x: f64, y: f64) -> Vec3 {
-        let f = self.focal_px();
-        let vx = x - self.width as f64 / 2.0;
-        let vy = y - self.height as f64 / 2.0;
-        let v = Vec3::new(vx / f, vy / f, 1.0).normalized();
-        self.rotation() * v
+        self.rays().ray(x, y)
+    }
+
+    /// This view's ray generator: the per-view constants (focal
+    /// length, rotation, image center) computed once, so tracing a
+    /// pixel costs no trigonometry and no matrix product.
+    pub fn rays(&self) -> ViewRays {
+        ViewRays {
+            rot: self.rotation(),
+            focal: self.focal_px(),
+            half_w: self.width as f64 / 2.0,
+            half_h: self.height as f64 / 2.0,
+        }
     }
 
     /// Project a camera-frame ray into this view's pixel coordinates;
@@ -91,6 +103,33 @@ impl PerspectiveView {
     /// Vertical field of view implied by the aspect ratio, radians.
     pub fn v_fov(&self) -> f64 {
         2.0 * ((self.height as f64 / 2.0) / self.focal_px()).atan()
+    }
+}
+
+/// A [`PerspectiveView`] compiled for per-pixel ray tracing (see
+/// [`PerspectiveView::rays`]). [`ViewRays::ray`] is the one definition
+/// of a perspective pixel's ray: `pixel_ray` calls it too.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct ViewRays {
+    /// View-to-camera rotation ([`PerspectiveView::rotation`]).
+    rot: Mat3,
+    /// Focal length in output pixels ([`PerspectiveView::focal_px`]).
+    focal: f64,
+    /// Horizontal image center, output pixels.
+    half_w: f64,
+    /// Vertical image center, output pixels.
+    half_h: f64,
+}
+
+impl ViewRays {
+    /// The camera-frame unit ray through output pixel `(x, y)`.
+    #[inline]
+    pub fn ray(&self, x: f64, y: f64) -> Vec3 {
+        let f = self.focal;
+        let vx = x - self.half_w;
+        let vy = y - self.half_h;
+        let v = Vec3::new(vx / f, vy / f, 1.0).normalized();
+        self.rot * v
     }
 }
 
